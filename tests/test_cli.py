@@ -1,5 +1,6 @@
 """Seed derivation, config files, the runs CSV, and the comparison logic."""
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -364,3 +365,71 @@ def test_main_sweep_and_report_round_trip(tmp_path, capsys):
 def test_format_report_smoke():
     text = format_report(_good_low())
     assert "bursty" in text and "dynamic" in text
+
+
+# -- byte identity of the runs CSV ------------------------------------------
+
+# Frozen sha256 digests of sweep outputs. A change to any of them is a change
+# to what the simulators compute and must be made, and recorded, on purpose.
+
+# every key the loader takes, each set to a valid non-default value;
+# payload + overhead stays 61 bytes so the byte price of one frame is unchanged
+_EVERY_KEY_INI = """\
+[sweep]
+master_seed = 2024
+poll_intervals_s = 1.5, 3
+high_runs_per_cell = 3
+low_runs_per_cell = 2
+include_high = true
+include_low = true
+[high]
+horizon_s = 800
+arrival_mean_s = 4
+[low]
+arrival_mean_s = 30
+node_count = 4
+packets_per_node = 6
+bit_rate_bps = 19200
+cycle_duration_s = 8
+cv_threshold = 0.7
+stagger_arrival_phase = false
+idle_horizon_s = 60
+[frames]
+data_payload_bytes = 49
+data_overhead_bytes = 12
+ack_bytes = 8
+early_ack_bytes = 9
+preamble_strobe_bytes = 3
+max_concat = 4
+[mac]
+early_ack_wait_s = 0.003
+cca_slot_s = 0.0015
+initial_backoff_slots = 8
+backoff_cap_slots = 64
+max_retries = 3
+strobe_timeout_s = 6.5
+[bursty]
+on_mean_s = 4
+off_mean_s = 36
+rate_factor = 8
+"""
+
+
+def _sweep_digest(tmp_path, *args) -> str:
+    out = tmp_path / "runs.csv"
+    assert main(["sweep", "--out", str(out), *args]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_default_sweep_csv_is_byte_stable(tmp_path):
+    # default config on a two-interval grid, one radio run per cell: 140 rows
+    assert _sweep_digest(tmp_path, "--grid", "1 2", "--runs", "1") == (
+        "770bbb79651a10e7f6cfacb605ed9523e6a4d90f9b9147a31f44e3a61b3c988a")
+
+
+def test_every_ini_key_reaches_the_sweep(tmp_path):
+    # a key wired into the wrong component changes the digest, which a
+    # config holding only default values cannot show
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_EVERY_KEY_INI)
+    assert _sweep_digest(tmp_path, "--config", str(ini)) == "97d32919717fb4d7569c59ca6fbd35f3cb1f07647427b96a2af4ca2b22c5cbe5"
