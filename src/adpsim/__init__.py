@@ -18,8 +18,6 @@ from .core import (
     PollingDistribution,
     PollingKind,
     SimulationIntegrityError,
-    coefficient_of_variation,
-    next_interval,
     select_distribution,
     substream,
 )
@@ -66,11 +64,9 @@ __all__ = [
     "Summary",
     "Trend",
     "airtime",
-    "coefficient_of_variation",
     "cycle_cv",
     "generate_arrivals",
     "group_into_superpackets",
-    "next_interval",
     "run_high_level",
     "run_low_level",
     "select_distribution",

@@ -8,7 +8,8 @@ import configparser
 import csv
 import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import product
 
 import numpy as np
 
@@ -43,11 +44,9 @@ _REL_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Every knob of the dual-fidelity sweep, flat, with defaults matching
-    the reference scenario. INI sections map onto field prefixes."""
+class SweepSection:
+    """[sweep]: the master seed, the poll-interval grid and the runs per cell."""
 
-    # [sweep]
     master_seed: int = 12345
     poll_intervals_s: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0,
                                            6.0, 7.0, 8.0, 9.0, 10.0)
@@ -55,90 +54,66 @@ class ExperimentConfig:
     low_runs_per_cell: int = 4
     include_high: bool = True
     include_low: bool = True
-    # [high]
-    high_horizon_s: float = 5000.0
-    high_arrival_mean_s: float = 5.0
-    # [low]
-    low_arrival_mean_s: float = 50.0
-    node_count: int = 10
-    packets_per_node: int = 20
-    bit_rate_bps: float = 18780.0
-    cycle_duration_s: float = 10.0
-    cv_threshold: float = 0.8
-    stagger_arrival_phase: bool = True
-    idle_horizon_s: float = 100.0
-    # [frames]
-    data_payload_bytes: int = 50
-    data_overhead_bytes: int = 11
-    ack_bytes: int = 10
-    early_ack_bytes: int = 10
-    preamble_strobe_bytes: int = 2
-    max_concat: int = 5
-    # [energy]
-    energy_per_byte_mJ: float = 0.5
-    energy_per_poll_mJ: float = 1.0
-    energy_per_ack_mJ: float = 5.0
-    energy_single_data_mJ: float = 30.5
-    # [radio]
-    tx_mW: float = 65.0
-    rx_mW: float = 29.0
-    listen_mW: float = 29.0
-    sleep_mW: float = 0.003
-    # [mac]
-    early_ack_wait_s: float = 0.002
-    cca_slot_s: float = 0.001
-    strobe_gap_s: float = 0.005
-    initial_backoff_slots: int = 16
-    backoff_cap_slots: int = 128
-    max_retries: int = 5
-    strobe_timeout_s: float | None = None
-    # [bursty]
-    burst_on_mean_s: float = 5.0
-    burst_off_mean_s: float = 45.0
-    burst_rate_factor: float = 10.0
 
-    def frame_spec(self) -> FrameSpec:
-        return FrameSpec(
-            data_payload_bytes=self.data_payload_bytes,
-            data_overhead_bytes=self.data_overhead_bytes,
-            ack_bytes=self.ack_bytes,
-            early_ack_bytes=self.early_ack_bytes,
-            preamble_strobe_bytes=self.preamble_strobe_bytes,
-            max_concat=self.max_concat,
-        )
 
-    def energy_model(self) -> HighLevelEnergyModel:
-        return HighLevelEnergyModel(
-            energy_per_byte_mJ=self.energy_per_byte_mJ,
-            energy_per_poll_mJ=self.energy_per_poll_mJ,
-            energy_per_ack_mJ=self.energy_per_ack_mJ,
-            energy_single_data_mJ=self.energy_single_data_mJ,
-        )
+# A section field that a simulator config also has takes its default from
+# there: a dataclass keeps each field's default as a class attribute.
+@dataclass(frozen=True)
+class HighSection:
+    """[high]: the byte-cost model's horizon and mean inter-arrival time."""
 
-    def radio_profile(self) -> RadioPowerProfile:
-        return RadioPowerProfile(tx_mW=self.tx_mW, rx_mW=self.rx_mW,
-                                 listen_mW=self.listen_mW, sleep_mW=self.sleep_mW)
+    horizon_s: float = HighLevelConfig.horizon_s
+    arrival_mean_s: float = 5.0
 
-    def mac_params(self) -> MacParams:
-        return MacParams(
-            early_ack_wait_s=self.early_ack_wait_s,
-            cca_slot_s=self.cca_slot_s,
-            strobe_gap_s=self.strobe_gap_s,
-            initial_backoff_slots=self.initial_backoff_slots,
-            backoff_cap_slots=self.backoff_cap_slots,
-            max_retries=self.max_retries,
-            strobe_timeout_s=self.strobe_timeout_s,
-        )
+
+@dataclass(frozen=True)
+class LowSection:
+    """[low]: the radio model's network, traffic and adaptive-polling cycle."""
+
+    arrival_mean_s: float = 50.0
+    node_count: int = LowLevelConfig.node_count
+    packets_per_node: int = LowLevelConfig.packets_per_node
+    bit_rate_bps: float = LowLevelConfig.bit_rate_bps
+    cycle_duration_s: float = LowLevelConfig.cycle_duration_s
+    cv_threshold: float = LowLevelConfig.cv_threshold
+    stagger_arrival_phase: bool = LowLevelConfig.stagger_arrival_phase
+    idle_horizon_s: float = LowLevelConfig.idle_horizon_s
+
+
+@dataclass(frozen=True)
+class BurstySection:
+    """[bursty]: the ON/OFF source's dwell means and in-burst rate factor."""
+
+    on_mean_s: float = ArrivalModel.burst_on_mean_s
+    off_mean_s: float = ArrivalModel.burst_off_mean_s
+    rate_factor: float = ArrivalModel.burst_rate_factor
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every knob of the dual-fidelity sweep, one field per INI section,
+    with defaults matching the reference scenario. The [frames], [energy],
+    [radio] and [mac] sections are the classes the simulators read, so the
+    two models share one copy of each of those assumptions."""
+
+    sweep: SweepSection = field(default_factory=SweepSection)
+    high: HighSection = field(default_factory=HighSection)
+    low: LowSection = field(default_factory=LowSection)
+    frames: FrameSpec = field(default_factory=FrameSpec)
+    energy: HighLevelEnergyModel = field(default_factory=HighLevelEnergyModel)
+    radio: RadioPowerProfile = field(default_factory=RadioPowerProfile)
+    mac: MacParams = field(default_factory=MacParams)
+    bursty: BurstySection = field(default_factory=BurstySection)
 
     def arrival_model(self, kind: str, fidelity: str) -> ArrivalModel:
-        mean = (self.high_arrival_mean_s if fidelity == "high"
-                else self.low_arrival_mean_s)
+        mean = (self.high.arrival_mean_s if fidelity == "high"
+                else self.low.arrival_mean_s)
         return ArrivalModel(
             kind=ArrivalKind(kind),
             mean_interval_s=mean,
-            burst_on_mean_s=self.burst_on_mean_s,
-            burst_off_mean_s=self.burst_off_mean_s,
-            burst_rate_factor=self.burst_rate_factor,
+            burst_on_mean_s=self.bursty.on_mean_s,
+            burst_off_mean_s=self.bursty.off_mean_s,
+            burst_rate_factor=self.bursty.rate_factor,
         )
 
     def high_config(self, arrival: str, polling: str,
@@ -146,58 +121,28 @@ class ExperimentConfig:
         return HighLevelConfig(
             arrival=self.arrival_model(arrival, "high"),
             polling=PollingDistribution(PollingKind(polling), interval_s),
-            horizon_s=self.high_horizon_s,
-            frames=self.frame_spec(),
-            energy=self.energy_model(),
+            horizon_s=self.high.horizon_s,
+            frames=self.frames,
+            energy=self.energy,
         )
 
     def low_config(self, arrival: str, polling: str,
                    interval_s: float) -> LowLevelConfig:
+        low = self.low
         return LowLevelConfig(
             arrival=self.arrival_model(arrival, "low"),
             polling=PollingDistribution(PollingKind(polling), interval_s),
-            node_count=self.node_count,
-            packets_per_node=self.packets_per_node,
-            bit_rate_bps=self.bit_rate_bps,
-            frames=self.frame_spec(),
-            radio=self.radio_profile(),
-            mac=self.mac_params(),
-            cycle_duration_s=self.cycle_duration_s,
-            cv_threshold=self.cv_threshold,
-            stagger_arrival_phase=self.stagger_arrival_phase,
-            idle_horizon_s=self.idle_horizon_s,
+            node_count=low.node_count,
+            packets_per_node=low.packets_per_node,
+            bit_rate_bps=low.bit_rate_bps,
+            frames=self.frames,
+            radio=self.radio,
+            mac=self.mac,
+            cycle_duration_s=low.cycle_duration_s,
+            cv_threshold=low.cv_threshold,
+            stagger_arrival_phase=low.stagger_arrival_phase,
+            idle_horizon_s=low.idle_horizon_s,
         )
-
-
-_SECTION_FIELDS = {
-    "sweep": ["master_seed", "poll_intervals_s", "high_runs_per_cell",
-              "low_runs_per_cell", "include_high", "include_low"],
-    "high": ["high_horizon_s", "high_arrival_mean_s"],
-    "low": ["low_arrival_mean_s", "node_count", "packets_per_node",
-            "bit_rate_bps", "cycle_duration_s", "cv_threshold",
-            "stagger_arrival_phase", "idle_horizon_s"],
-    "frames": ["data_payload_bytes", "data_overhead_bytes", "ack_bytes",
-               "early_ack_bytes", "preamble_strobe_bytes", "max_concat"],
-    "energy": ["energy_per_byte_mJ", "energy_per_poll_mJ",
-               "energy_per_ack_mJ", "energy_single_data_mJ"],
-    "radio": ["tx_mW", "rx_mW", "listen_mW", "sleep_mW"],
-    "mac": ["early_ack_wait_s", "cca_slot_s", "strobe_gap_s",
-            "initial_backoff_slots", "backoff_cap_slots", "max_retries",
-            "strobe_timeout_s"],
-    "bursty": ["burst_on_mean_s", "burst_off_mean_s", "burst_rate_factor"],
-}
-
-# INI keys drop the section's redundant prefix: [high] horizon_s, not
-# [high] high_horizon_s
-_KEY_ALIASES = {
-    ("sweep", "poll_intervals_s"): "poll_intervals_s",
-    ("high", "high_horizon_s"): "horizon_s",
-    ("high", "high_arrival_mean_s"): "arrival_mean_s",
-    ("low", "low_arrival_mean_s"): "arrival_mean_s",
-    ("bursty", "burst_on_mean_s"): "on_mean_s",
-    ("bursty", "burst_off_mean_s"): "off_mean_s",
-    ("bursty", "burst_rate_factor"): "rate_factor",
-}
 
 
 def _parse_intervals(text: str) -> tuple[float, ...]:
@@ -208,35 +153,35 @@ def _parse_intervals(text: str) -> tuple[float, ...]:
 
 
 def load_experiment_config(path: str | None) -> ExperimentConfig:
+    """Read an INI file whose sections are the fields of ExperimentConfig
+    and whose keys are the field names of each section's class. Keys match
+    regardless of case, since configparser lower-cases them (tx_mW)."""
     if path is None:
         return ExperimentConfig()
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ParameterError(f"cannot read config file {path!r}")
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    values: dict[str, object] = {}
-    known: dict[tuple[str, str], str] = {}
-    for section, names in _SECTION_FIELDS.items():
-        for name in names:
-            key = _KEY_ALIASES.get((section, name), name)
-            known[(section, key)] = name
+    classes = {f.name: f.default_factory for f in fields(ExperimentConfig)}
+    sections = {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in classes:
             raise ParameterError(f"unknown config section [{section}]")
+        keys = {f.name.lower(): f for f in fields(classes[section])}
+        values = {}
         for key, raw in parser.items(section):
-            field_name = known.get((section, key))
-            if field_name is None:
+            if key not in keys:
                 raise ParameterError(f"unknown key {key!r} in [{section}]")
-            values[field_name] = _convert(field_name, types[field_name],
-                                          raw, parser, section, key)
-    return ExperimentConfig(**values)
+            values[keys[key].name] = _convert(keys[key].type, raw, parser,
+                                              section, key)
+        sections[section] = classes[section](**values)
+    return ExperimentConfig(**sections)
 
 
-def _convert(field_name, type_str, raw, parser, section, key):
-    if field_name == "poll_intervals_s":
+def _convert(type_str, raw, parser, section, key):
+    if type_str == "tuple[float, ...]":
         return _parse_intervals(raw)
-    if field_name == "strobe_timeout_s":
+    if type_str == "float | None":
         return None if raw.strip() == "" else float(raw)
     if type_str == "int":
         return int(raw)
@@ -244,7 +189,7 @@ def _convert(field_name, type_str, raw, parser, section, key):
         return float(raw)
     if type_str == "bool":
         return parser.getboolean(section, key)
-    raise ParameterError(f"cannot parse {field_name}")
+    raise ParameterError(f"cannot parse {key!r} in [{section}]")
 
 
 def run_seed(master_seed: int, fidelity: str, arrival: str,
@@ -258,33 +203,27 @@ def run_seed(master_seed: int, fidelity: str, arrival: str,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _high_cells(exp: ExperimentConfig):
-    for arrival in ("cbr", "poisson"):
-        for polling in ("deterministic", "exponential"):
-            yield arrival, polling
-
-
-def _low_cells(exp: ExperimentConfig):
-    for arrival in ("cbr", "poisson", "bursty"):
-        for polling in ("deterministic", "exponential", "dynamic"):
-            yield arrival, polling
+_HIGH_CELLS = tuple(product(("cbr", "poisson"), ("deterministic", "exponential")))
+_LOW_CELLS = tuple(product(("cbr", "poisson", "bursty"),
+                           ("deterministic", "exponential", "dynamic")))
 
 
 def _high_cell_runs(exp: ExperimentConfig, arrival: str, polling: str) -> int:
     # constant arrivals under a fixed poll grid have no randomness at all
     if arrival == "cbr" and polling == "deterministic":
         return 1
-    return exp.high_runs_per_cell
+    return exp.sweep.high_runs_per_cell
 
 
 def run_sweep(exp: ExperimentConfig, progress=None) -> list[RunMetrics]:
+    sweep = exp.sweep
     rows: list[RunMetrics] = []
-    if exp.include_high:
-        for arrival, polling in _high_cells(exp):
-            for interval in exp.poll_intervals_s:
+    if sweep.include_high:
+        for arrival, polling in _HIGH_CELLS:
+            for interval in sweep.poll_intervals_s:
                 config = exp.high_config(arrival, polling, interval)
                 for rep in range(_high_cell_runs(exp, arrival, polling)):
-                    seed = run_seed(exp.master_seed, "high", arrival, interval, rep)
+                    seed = run_seed(sweep.master_seed, "high", arrival, interval, rep)
                     res = run_high_level(config, seed)
                     rows.append(RunMetrics(
                         fidelity="high", arrival=arrival, polling=polling,
@@ -296,12 +235,12 @@ def run_sweep(exp: ExperimentConfig, progress=None) -> list[RunMetrics]:
                         collisions=0, retransmissions=0))
                 if progress:
                     progress(f"high {arrival}/{polling} interval={interval:g}")
-    if exp.include_low:
-        for arrival, polling in _low_cells(exp):
-            for interval in exp.poll_intervals_s:
+    if sweep.include_low:
+        for arrival, polling in _LOW_CELLS:
+            for interval in sweep.poll_intervals_s:
                 config = exp.low_config(arrival, polling, interval)
-                for rep in range(exp.low_runs_per_cell):
-                    seed = run_seed(exp.master_seed, "low", arrival, interval, rep)
+                for rep in range(sweep.low_runs_per_cell):
+                    seed = run_seed(sweep.master_seed, "low", arrival, interval, rep)
                     res = run_low_level(config, seed)
                     rows.append(RunMetrics(
                         fidelity="low", arrival=arrival, polling=polling,
@@ -394,8 +333,7 @@ def _coerce_fidelity(rows: list[RunMetrics], fidelity: str) -> list[RunMetrics]:
     block = [r for r in rows if r.fidelity == fidelity]
     if block:
         return block
-    import dataclasses
-    return [dataclasses.replace(r, fidelity=fidelity) for r in rows]
+    return [replace(r, fidelity=fidelity) for r in rows]
 
 
 def _require_complete(cells) -> None:
@@ -636,12 +574,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(exp: ExperimentConfig, section: str, **changes) -> ExperimentConfig:
+    """exp with the given keys of one section replaced, skipping None."""
+    changes = {k: v for k, v in changes.items() if v is not None}
+    return replace(exp, **{section: replace(getattr(exp, section), **changes)})
+
+
 def _cmd_high(args) -> int:
-    exp = load_experiment_config(args.config)
-    if args.arrival_mean is not None:
-        exp = _replace(exp, high_arrival_mean_s=args.arrival_mean)
-    if args.horizon is not None:
-        exp = _replace(exp, high_horizon_s=args.horizon)
+    exp = _override(load_experiment_config(args.config), "high",
+                    arrival_mean_s=args.arrival_mean, horizon_s=args.horizon)
     config = exp.high_config(args.arrival, args.polling, args.poll_mean)
     res = run_high_level(config, args.seed)
     print(f"energy_mJ = {res.total_energy_mJ!r}")
@@ -654,13 +595,9 @@ def _cmd_high(args) -> int:
 
 
 def _cmd_low(args) -> int:
-    exp = load_experiment_config(args.config)
-    if args.arrival_mean is not None:
-        exp = _replace(exp, low_arrival_mean_s=args.arrival_mean)
-    if args.nodes is not None:
-        exp = _replace(exp, node_count=args.nodes)
-    if args.packets is not None:
-        exp = _replace(exp, packets_per_node=args.packets)
+    exp = _override(load_experiment_config(args.config), "low",
+                    arrival_mean_s=args.arrival_mean, node_count=args.nodes,
+                    packets_per_node=args.packets)
     config = exp.low_config(args.arrival, args.polling, args.poll_mean)
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
@@ -683,21 +620,13 @@ def _cmd_low(args) -> int:
     return 0
 
 
-def _replace(exp: ExperimentConfig, **changes) -> ExperimentConfig:
-    import dataclasses
-    return dataclasses.replace(exp, **changes)
-
-
 def _cmd_sweep(args) -> int:
     if args.out is None and args.out_high is None and args.out_low is None:
         raise ParameterError("give at least one of --out/--out-high/--out-low")
-    exp = load_experiment_config(args.config)
-    if args.seed is not None:
-        exp = _replace(exp, master_seed=args.seed)
-    if args.grid is not None:
-        exp = _replace(exp, poll_intervals_s=_parse_intervals(args.grid))
-    if args.runs is not None:
-        exp = _replace(exp, low_runs_per_cell=args.runs)
+    grid = None if args.grid is None else _parse_intervals(args.grid)
+    exp = _override(load_experiment_config(args.config), "sweep",
+                    master_seed=args.seed, poll_intervals_s=grid,
+                    low_runs_per_cell=args.runs)
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
         if args.verbose else None
     rows = run_sweep(exp, progress=progress)

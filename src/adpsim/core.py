@@ -1,7 +1,8 @@
 """Shared vocabulary for both fidelity levels: distribution kinds, frame and
-energy constants, Cv estimation and the polling-selection rule."""
+energy constants, the Cv estimate and the polling-selection rule."""
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -45,8 +46,9 @@ class PollingDistribution:
     mean_interval_s: float
 
     def __post_init__(self) -> None:
-        if not self.mean_interval_s > 0:
-            raise ParameterError(f"mean_interval_s must be > 0, got {self.mean_interval_s}")
+        if not 0 < self.mean_interval_s < math.inf:
+            raise ParameterError(
+                f"mean_interval_s must be finite and > 0, got {self.mean_interval_s}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ class ArrivalModel:
     burst_rate_factor: float = 10.0  # in-burst rate = factor / mean_interval_s
 
     def __post_init__(self) -> None:
-        if not self.mean_interval_s > 0:
-            raise ParameterError(f"mean_interval_s must be > 0, got {self.mean_interval_s}")
+        if not 0 < self.mean_interval_s < math.inf:
+            raise ParameterError(
+                f"mean_interval_s must be finite and > 0, got {self.mean_interval_s}")
+        if not all(map(math.isfinite, (self.burst_on_mean_s, self.burst_off_mean_s,
+                                       self.burst_rate_factor))):
+            raise ParameterError("burst fields must be finite")
         if self.kind is ArrivalKind.BURSTY:
             if not (self.burst_on_mean_s > 0 and self.burst_off_mean_s > 0):
                 raise ParameterError("burst dwell means must be > 0")
@@ -118,20 +124,11 @@ class HighLevelEnergyModel:
     energy_per_byte_mJ: float = 0.5
     energy_per_poll_mJ: float = 1.0
     energy_per_ack_mJ: float = 5.0
-    energy_single_data_mJ: float = 30.5  # must equal single_frame_bytes * per-byte
 
     def __post_init__(self) -> None:
-        for name in ("energy_per_byte_mJ", "energy_per_poll_mJ", "energy_per_ack_mJ",
-                     "energy_single_data_mJ"):
+        for name in ("energy_per_byte_mJ", "energy_per_poll_mJ", "energy_per_ack_mJ"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0")
-
-    def check_consistent(self, frames: FrameSpec) -> None:
-        expected = frames.single_frame_bytes * self.energy_per_byte_mJ
-        if expected != self.energy_single_data_mJ:
-            raise ParameterError(
-                f"energy_single_data_mJ={self.energy_single_data_mJ} inconsistent with "
-                f"{frames.single_frame_bytes} B x {self.energy_per_byte_mJ} mJ/B = {expected}")
 
 
 @dataclass(frozen=True)
@@ -161,39 +158,6 @@ def substream(master_seed: int, *scope: int | str) -> np.random.Generator:
         else:
             raise ParameterError(f"scope parts must be int or str, got {part!r}")
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *words]))
-
-
-def next_interval(dist: PollingDistribution | ArrivalModel,
-                  rng: np.random.Generator | None = None) -> float:
-    """One interval drawn from a memoryless-or-fixed distribution.
-
-    DETERMINISTIC/CBR return the mean exactly and consume no randomness.
-    DYNAMIC and BURSTY are stateful processes and have no single-draw form:
-    the low-level sink resolves DYNAMIC to its current kind before drawing,
-    and bursty gaps come from the traffic generator.
-    """
-    kind = dist.kind
-    if kind in (PollingKind.DETERMINISTIC, ArrivalKind.CBR):
-        return dist.mean_interval_s
-    if kind in (PollingKind.EXPONENTIAL, ArrivalKind.POISSON):
-        if rng is None:
-            raise ParameterError(f"{kind.value} intervals need an rng")
-        return float(rng.exponential(dist.mean_interval_s))
-    raise ParameterError(f"{kind.value} has no stateless next_interval")
-
-
-def coefficient_of_variation(samples) -> CvEstimate:
-    """Sample Cv (std/mean, n-1 divisor) of strictly positive durations."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise ParameterError("samples must be one-dimensional")
-    if arr.size < 2:
-        raise InsufficientDataError(f"need >= 2 samples, got {arr.size}")
-    if not np.all(arr > 0):
-        raise ParameterError("all samples must be > 0")
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1))
-    return CvEstimate(sample_count=int(arr.size), mean_s=mean, std_s=std, cv=std / mean)
 
 
 def select_distribution(cv: float, threshold: float = 0.8) -> PollingKind:

@@ -3,6 +3,7 @@ packets ride out in concatenated super packets priced per byte, and delay is
 simply how long a packet waited for the next poll. No radio, no channel."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,12 @@ class HighLevelConfig:
     energy: HighLevelEnergyModel = field(default_factory=HighLevelEnergyModel)
 
     def __post_init__(self) -> None:
-        if not self.horizon_s > 0:
-            raise ParameterError(f"horizon_s must be > 0, got {self.horizon_s}")
+        if not 0 < self.horizon_s < math.inf:
+            raise ParameterError(
+                f"horizon_s must be finite and > 0, got {self.horizon_s}")
         if self.polling.kind is PollingKind.DYNAMIC:
             raise ParameterError("the abstract model has no feedback loop; "
                                  "polling must be deterministic or exponential")
-        self.energy.check_consistent(self.frames)
 
 
 @dataclass(frozen=True)

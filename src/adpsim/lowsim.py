@@ -109,14 +109,13 @@ class MacParams:
 
     early_ack_wait_s: float = 0.002
     cca_slot_s: float = 0.001
-    strobe_gap_s: float = 0.005  # reserved knob, pacing uses early_ack_wait_s
     initial_backoff_slots: int = 16
     backoff_cap_slots: int = 128
     max_retries: int = 5
     strobe_timeout_s: float | None = None  # None: twice the mean poll interval
 
     def __post_init__(self) -> None:
-        for name in ("early_ack_wait_s", "cca_slot_s", "strobe_gap_s"):
+        for name in ("early_ack_wait_s", "cca_slot_s"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0")
         if self.initial_backoff_slots < 1:
@@ -216,9 +215,6 @@ class Channel:
         """Remove a finished frame; True when it survived un-collided."""
         self._active.remove(frame)
         return not frame.collided
-
-    def busy_at(self, t: float) -> bool:
-        return any(f.start_s <= t < f.end_s for f in self._active)
 
     def activity_overlapping(self, start_s: float, end_s: float) -> bool:
         return any(f.start_s < end_s and start_s < f.end_s for f in self._active)

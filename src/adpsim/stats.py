@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.stats
 
 from .core import InsufficientDataError, ParameterError
 
@@ -38,6 +37,8 @@ def summarize(values, confidence: float = 0.95) -> Summary:
         raise InsufficientDataError(f"need >= 2 values for a CI, got {arr.size}")
     if not 0 < confidence < 1:
         raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
+    import scipy.stats  # deferred: it costs most of the package's import time
+
     mean = float(arr.mean())
     std = float(arr.std(ddof=1))
     t = float(scipy.stats.t.ppf(0.5 + confidence / 2, df=arr.size - 1))
@@ -46,6 +47,8 @@ def summarize(values, confidence: float = 0.95) -> Summary:
 
 
 def _spearman(xs, ys) -> float:
+    import scipy.stats
+
     with warnings.catch_warnings():
         # a constant series has no defined rank correlation; nan is the
         # documented FLAT outcome, not a condition worth a warning
@@ -105,41 +108,3 @@ class RunMetrics:
     dropped: int
     collisions: int
     retransmissions: int
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    """All runs of one sweep cell, aggregated."""
-
-    fidelity: str
-    arrival: str
-    polling: str
-    mean_poll_interval_s: float
-    n_runs: int
-    energy: Summary | None
-    delay: Summary | None
-    energy_mean_mJ: float
-    delay_mean_s: float
-
-
-def summarize_cell(rows: list[RunMetrics]) -> CellSummary:
-    if not rows:
-        raise InsufficientDataError("empty cell")
-    head = rows[0]
-    key = (head.fidelity, head.arrival, head.polling, head.mean_poll_interval_s)
-    for r in rows:
-        if (r.fidelity, r.arrival, r.polling, r.mean_poll_interval_s) != key:
-            raise ParameterError("rows from different cells")
-    energies = [r.energy_mJ for r in rows]
-    delays = [r.mean_delay_s for r in rows]
-    return CellSummary(
-        fidelity=head.fidelity,
-        arrival=head.arrival,
-        polling=head.polling,
-        mean_poll_interval_s=head.mean_poll_interval_s,
-        n_runs=len(rows),
-        energy=summarize(energies) if len(rows) >= 2 else None,
-        delay=summarize(delays) if len(rows) >= 2 else None,
-        energy_mean_mJ=float(np.mean(energies)),
-        delay_mean_s=float(np.mean(delays)),
-    )

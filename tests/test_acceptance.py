@@ -31,7 +31,7 @@ from adpsim.lowsim import run_low_level
 from adpsim.stats import Trend, spearman_rho, summarize, trend_direction
 
 EXP = ExperimentConfig()
-GRID = EXP.poll_intervals_s
+GRID = EXP.sweep.poll_intervals_s
 
 # counters proving the per-run audits of criterion 8 actually covered the
 # runs behind criteria 1..7
@@ -81,21 +81,21 @@ def high_cells():
     for arrival in ("cbr", "poisson"):
         for polling in ("deterministic", "exponential"):
             reps = 1 if (arrival, polling) == ("cbr", "deterministic") \
-                else EXP.high_runs_per_cell
+                else EXP.sweep.high_runs_per_cell
             for interval in GRID:
                 config = EXP.high_config(arrival, polling, interval)
                 cells[(arrival, polling, interval)] = [
-                    checked_high(config, run_seed(EXP.master_seed, "high",
-                                                  arrival, interval, rep))
+                    checked_high(config, run_seed(EXP.sweep.master_seed, "high",
+                                                        arrival, interval, rep))
                     for rep in range(reps)]
     return cells, time.perf_counter() - t0
 
 
 def _low_cell(arrival, polling, interval):
     config = EXP.low_config(arrival, polling, interval)
-    return [checked_low(config, run_seed(EXP.master_seed, "low", arrival,
-                                         interval, rep))
-            for rep in range(EXP.low_runs_per_cell)]
+    return [checked_low(config, run_seed(EXP.sweep.master_seed, "low", arrival,
+                                               interval, rep))
+            for rep in range(EXP.sweep.low_runs_per_cell)]
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +127,9 @@ def test_criterion_1_closed_form_byte_cost_runs(criterion):
     # delay (1000 polls, 36500 mJ)
     t0 = time.perf_counter()
     res10 = checked_high(EXP.high_config("cbr", "deterministic", 10.0),
-                         run_seed(EXP.master_seed, "high", "cbr", 10.0, 0))
+                         run_seed(EXP.sweep.master_seed, "high", "cbr", 10.0, 0))
     res5 = checked_high(EXP.high_config("cbr", "deterministic", 5.0),
-                        run_seed(EXP.master_seed, "high", "cbr", 5.0, 0))
+                        run_seed(EXP.sweep.master_seed, "high", "cbr", 5.0, 0))
     elapsed = time.perf_counter() - t0
     ok = (res10.total_energy_mJ == 30750.0 and res10.mean_delay_s == 2.5
           and res5.total_energy_mJ == 36500.0 and res5.mean_delay_s == 0.0
@@ -243,7 +243,7 @@ def test_criterion_5_matched_polling_is_best(low_all_cells, criterion):
     # the sink serves one source per wake: at load rho >= 1 queues build up
     # and the waiting-time argument no longer bounds energy
     unsaturated = [i for i in GRID
-                   if (EXP.node_count - 1) * i / EXP.low_arrival_mean_s < 1]
+                   if (EXP.low.node_count - 1) * i / EXP.low.arrival_mean_s < 1]
     order_checks = [("delay", _DELAY, i) for i in GRID] + \
         [("energy", _ENERGY_LOW, i) for i in unsaturated]
     violations = []
@@ -286,8 +286,8 @@ def test_criterion_6_adaptive_selection(criterion):
         cfg = dataclasses.replace(
             base, node_count=2,
             arrival=dataclasses.replace(base.arrival, mean_interval_s=2.0))
-        res = checked_low(cfg, run_seed(EXP.master_seed, "adapt-cbr", "cbr",
-                                        1.0, rep))
+        res = checked_low(cfg, run_seed(EXP.sweep.master_seed, "adapt-cbr", "cbr",
+                                              1.0, rep))
         if (res.final_polling_kind is PollingKind.DETERMINISTIC
                 and res.informative_cycles >= 1
                 and res.exponential_selections == 0):
@@ -300,8 +300,8 @@ def test_criterion_6_adaptive_selection(criterion):
         cfg = dataclasses.replace(
             base, node_count=4, packets_per_node=30,
             arrival=dataclasses.replace(base.arrival, mean_interval_s=2.0))
-        res = checked_low(cfg, run_seed(EXP.master_seed, "adapt-poisson",
-                                        "poisson", 1.0, rep))
+        res = checked_low(cfg, run_seed(EXP.sweep.master_seed, "adapt-poisson",
+                                              "poisson", 1.0, rep))
         informative += res.informative_cycles
         exponential += res.exponential_selections
     fraction = exponential / informative
@@ -322,8 +322,8 @@ def test_criterion_7_single_sender_strobe_cost(criterion):
     for interval in GRID:
         base = EXP.low_config("poisson", "exponential", interval)
         cfg = dataclasses.replace(base, node_count=2)
-        vals = [checked_low(cfg, run_seed(EXP.master_seed, "strobe-exp",
-                                          "poisson", interval, rep)
+        vals = [checked_low(cfg, run_seed(EXP.sweep.master_seed, "strobe-exp",
+                                                "poisson", interval, rep)
                             ).strobe_energy_mJ
                 for rep in range(20)]
         means.append(float(np.mean(vals)))
@@ -344,13 +344,13 @@ def test_criterion_8_run_properties(tmp_path, high_cells, low_matched_cells,
 
     # bit-level determinism of a radio run
     cfg = EXP.low_config("bursty", "dynamic", 3.0)
-    seed = run_seed(EXP.master_seed, "low", "bursty", 3.0, 1)
+    seed = run_seed(EXP.sweep.master_seed, "low", "bursty", 3.0, 1)
     assert run_low_level(cfg, seed) == run_low_level(cfg, seed)
 
     # byte-identical CSV from two sweeps of the same config
-    sweep_cfg = dataclasses.replace(EXP, include_low=False,
-                                    poll_intervals_s=(2.0, 5.0),
-                                    high_runs_per_cell=2)
+    sweep_cfg = dataclasses.replace(EXP, sweep=dataclasses.replace(
+        EXP.sweep, include_low=False, poll_intervals_s=(2.0, 5.0),
+        high_runs_per_cell=2))
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_runs_csv(first, run_sweep(sweep_cfg))
     write_runs_csv(second, run_sweep(sweep_cfg))
@@ -360,8 +360,8 @@ def test_criterion_8_run_properties(tmp_path, high_cells, low_matched_cells,
     buf = io.StringIO()
     small = dataclasses.replace(EXP.low_config("poisson", "dynamic", 2.0),
                                 node_count=3, packets_per_node=5)
-    res = checked_low(small, run_seed(EXP.master_seed, "trace", "poisson",
-                                      2.0, 0), trace=csv.writer(buf))
+    res = checked_low(small, run_seed(EXP.sweep.master_seed, "trace", "poisson",
+                                            2.0, 0), trace=csv.writer(buf))
     body = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
     times = [float(row[0]) for row in body]
     assert len(times) == res.event_count

@@ -7,6 +7,7 @@ import pytest
 from adpsim.cli import (
     ExperimentConfig,
     RUNS_CSV_HEADER,
+    SweepSection,
     compare_runs,
     format_report,
     load_experiment_config,
@@ -76,23 +77,23 @@ def test_load_config_round_trip(tmp_path):
         "[bursty]\n"
         "rate_factor = 8\n")
     exp = load_experiment_config(str(ini))
-    assert exp.master_seed == 99
-    assert exp.poll_intervals_s == (1.0, 2.5, 7.0)
-    assert exp.low_runs_per_cell == 2
-    assert exp.include_high is False
-    assert exp.include_low is True
-    assert exp.high_horizon_s == 1000.0
-    assert exp.high_arrival_mean_s == 4.0
-    assert exp.low_arrival_mean_s == 20.0
-    assert exp.node_count == 4
-    assert exp.mac_params().strobe_timeout_s == 0.5
-    assert exp.burst_rate_factor == 8.0
+    assert exp.sweep.master_seed == 99
+    assert exp.sweep.poll_intervals_s == (1.0, 2.5, 7.0)
+    assert exp.sweep.low_runs_per_cell == 2
+    assert exp.sweep.include_high is False
+    assert exp.sweep.include_low is True
+    assert exp.high.horizon_s == 1000.0
+    assert exp.high.arrival_mean_s == 4.0
+    assert exp.low.arrival_mean_s == 20.0
+    assert exp.low.node_count == 4
+    assert exp.mac.strobe_timeout_s == 0.5
+    assert exp.bursty.rate_factor == 8.0
 
 
 def test_load_config_empty_strobe_timeout_means_default(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[mac]\nstrobe_timeout_s =\n")
-    assert load_experiment_config(str(ini)).strobe_timeout_s is None
+    assert load_experiment_config(str(ini)).mac.strobe_timeout_s is None
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -107,10 +108,17 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ini.write_text("[low]\nnode_cuont = 4\n")
     with pytest.raises(ParameterError, match=r"unknown key"):
         load_experiment_config(str(ini))
+    # knobs that nothing read are gone from the schema
+    for section, key in (("mac", "strobe_gap_s"),
+                         ("energy", "energy_single_data_mJ")):
+        ini.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ParameterError, match=r"unknown key"):
+            load_experiment_config(str(ini))
+        assert main(["high", "--config", str(ini)]) == 2
 
 
 def test_load_config_rejects_unprefixed_alias(tmp_path):
-    # inside [high] the key is horizon_s, the flat field name is not accepted
+    # inside [high] the key is horizon_s; the prefixed name is not accepted
     ini = tmp_path / "exp.ini"
     ini.write_text("[high]\nhigh_horizon_s = 1000\n")
     with pytest.raises(ParameterError, match=r"unknown key"):
@@ -158,8 +166,9 @@ def test_runs_csv_rejects_short_row(tmp_path):
 
 
 def _tiny_sweep_config() -> ExperimentConfig:
-    return ExperimentConfig(poll_intervals_s=(2.0, 4.0), high_runs_per_cell=2,
-                            low_runs_per_cell=1, include_low=False)
+    return ExperimentConfig(sweep=SweepSection(
+        poll_intervals_s=(2.0, 4.0), high_runs_per_cell=2,
+        low_runs_per_cell=1, include_low=False))
 
 
 def test_run_sweep_shape_and_order():
@@ -344,6 +353,18 @@ def test_main_sweep_requires_an_output(capsys):
     assert "out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["high", "--horizon", "inf", "--poll-mean", "10"],
+    ["low", "--poll-mean", "inf"],
+    ["low", "--arrival", "poisson", "--arrival-mean", "inf"],
+], ids=["high-horizon", "low-poll-mean", "low-arrival-mean"])
+def test_main_rejects_non_finite_inputs(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert err.count("\n") == 1
+
+
 def test_main_sweep_and_report_round_trip(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     code = main(["sweep", "--out", str(out), "--grid", "2 4",
@@ -432,4 +453,27 @@ def test_every_ini_key_reaches_the_sweep(tmp_path):
     # config holding only default values cannot show
     ini = tmp_path / "exp.ini"
     ini.write_text(_EVERY_KEY_INI)
-    assert _sweep_digest(tmp_path, "--config", str(ini)) == "97d32919717fb4d7569c59ca6fbd35f3cb1f07647427b96a2af4ca2b22c5cbe5"
+    assert _sweep_digest(tmp_path, "--config", str(ini)) == (
+        "97d32919717fb4d7569c59ca6fbd35f3cb1f07647427b96a2af4ca2b22c5cbe5")
+
+
+def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
+    # the mixed-case keys (tx_mW, energy_per_byte_mJ) arrive lower-cased
+    # from configparser and must still load; the digest is that of the same
+    # values given in code
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_EVERY_KEY_INI
+                   + "[energy]\n"
+                   "energy_per_byte_mJ = 0.25\n"
+                   "energy_per_poll_mJ = 1.5\n"
+                   "energy_per_ack_mJ = 4\n"
+                   "[radio]\n"
+                   "tx_mW = 60\n"
+                   "rx_mW = 31\n"
+                   "listen_mW = 27\n"
+                   "sleep_mW = 0.005\n")
+    exp = load_experiment_config(str(ini))
+    assert exp.energy.energy_per_byte_mJ == 0.25
+    assert exp.radio.tx_mW == 60.0
+    assert _sweep_digest(tmp_path, "--config", str(ini)) == (
+        "d5879119a22ffea4573fff4fcde221080703b8b9350f623037737a97dc96e23c")

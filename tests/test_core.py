@@ -1,5 +1,6 @@
-"""Domain-type arithmetic: frame sizes, interval draws, Cv classification."""
-import numpy as np
+"""Domain-type arithmetic: frame sizes, parameter domains, Cv classification."""
+import math
+
 import pytest
 
 from adpsim.core import (
@@ -7,12 +8,9 @@ from adpsim.core import (
     ArrivalModel,
     FrameSpec,
     HighLevelEnergyModel,
-    InsufficientDataError,
     ParameterError,
     PollingDistribution,
     PollingKind,
-    coefficient_of_variation,
-    next_interval,
     select_distribution,
     substream,
 )
@@ -39,9 +37,6 @@ def test_frame_validation():
 
 
 def test_energy_model_matches_frame_spec():
-    HighLevelEnergyModel().check_consistent(FrameSpec())
-    with pytest.raises(ParameterError):
-        HighLevelEnergyModel(energy_single_data_mJ=99.0).check_consistent(FrameSpec())
     with pytest.raises(ParameterError):
         HighLevelEnergyModel(energy_per_poll_mJ=0.0)
 
@@ -51,6 +46,9 @@ def test_polling_distribution_validation():
         PollingDistribution(PollingKind.DETERMINISTIC, 0.0)
     with pytest.raises(ParameterError):
         PollingDistribution(PollingKind.EXPONENTIAL, -3.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            PollingDistribution(PollingKind.DETERMINISTIC, bad)
 
 
 def test_arrival_model_validation():
@@ -60,6 +58,12 @@ def test_arrival_model_validation():
         ArrivalModel(ArrivalKind.BURSTY, 50.0, burst_on_mean_s=0.0)
     with pytest.raises(ParameterError):
         ArrivalModel(ArrivalKind.BURSTY, 50.0, burst_rate_factor=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            ArrivalModel(ArrivalKind.POISSON, mean_interval_s=bad)
+        for name in ("burst_on_mean_s", "burst_off_mean_s", "burst_rate_factor"):
+            with pytest.raises(ParameterError, match="finite"):
+                ArrivalModel(ArrivalKind.BURSTY, 50.0, **{name: bad})
 
 
 def test_long_run_mean_interval():
@@ -68,55 +72,6 @@ def test_long_run_mean_interval():
     assert ArrivalModel(ArrivalKind.BURSTY, 50.0).long_run_mean_interval_s == 50.0
     slow = ArrivalModel(ArrivalKind.BURSTY, 50.0, burst_rate_factor=5.0)
     assert slow.long_run_mean_interval_s == pytest.approx(100.0)
-
-
-def test_deterministic_interval_consumes_no_randomness():
-    dist = PollingDistribution(PollingKind.DETERMINISTIC, 3.0)
-    assert next_interval(dist) == 3.0
-    assert next_interval(ArrivalModel(ArrivalKind.CBR, 7.5)) == 7.5
-
-
-def test_exponential_interval_mean():
-    dist = PollingDistribution(PollingKind.EXPONENTIAL, 2.0)
-    rng = substream(7, "poll")
-    draws = [next_interval(dist, rng) for _ in range(20000)]
-    assert min(draws) > 0
-    assert np.mean(draws) == pytest.approx(2.0, rel=0.02)
-
-
-def test_interval_draw_errors():
-    with pytest.raises(ParameterError):
-        next_interval(PollingDistribution(PollingKind.EXPONENTIAL, 2.0))
-    with pytest.raises(ParameterError):
-        next_interval(PollingDistribution(PollingKind.DYNAMIC, 2.0), substream(1))
-    with pytest.raises(ParameterError):
-        next_interval(ArrivalModel(ArrivalKind.BURSTY, 50.0), substream(1))
-
-
-def test_cv_oracle():
-    # hand arithmetic with the n-1 divisor
-    est = coefficient_of_variation([2, 4, 6, 8])
-    assert est.sample_count == 4
-    assert est.mean_s == 5.0
-    assert est.std_s == pytest.approx(2.581988897471611, abs=1e-12)
-    assert est.cv == pytest.approx(0.5163977794943222, abs=1e-12)
-
-
-def test_cv_shape_families():
-    rng = substream(11, "cv")
-    cbr = coefficient_of_variation([5.0] * 40)
-    assert cbr.cv == 0.0
-    poisson = coefficient_of_variation(rng.exponential(5.0, size=4000))
-    assert poisson.cv == pytest.approx(1.0, abs=0.1)
-
-
-def test_cv_input_errors():
-    with pytest.raises(InsufficientDataError):
-        coefficient_of_variation([4.0])
-    with pytest.raises(ParameterError):
-        coefficient_of_variation([1.0, 0.0])
-    with pytest.raises(ParameterError):
-        coefficient_of_variation([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_select_distribution_threshold_is_strict():

@@ -1,5 +1,7 @@
 """Byte-cost model oracles: closed forms for aligned CBR grids, energy
 accounting identities for stochastic runs."""
+import math
+
 import pytest
 
 from adpsim.core import (
@@ -154,3 +156,8 @@ def test_config_validation():
         _config(ArrivalKind.CBR, 5.0, PollingKind.DYNAMIC, 5.0)
     with pytest.raises(ParameterError):
         _config(ArrivalKind.CBR, 5.0, PollingKind.DETERMINISTIC, 5.0, horizon=0.0)
+    # an infinite horizon would never finish drawing exponential poll times
+    for polling in (PollingKind.DETERMINISTIC, PollingKind.EXPONENTIAL):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                _config(ArrivalKind.CBR, 5.0, polling, 10.0, horizon=bad)

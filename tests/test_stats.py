@@ -5,11 +5,9 @@ import pytest
 
 from adpsim.core import InsufficientDataError, ParameterError
 from adpsim.stats import (
-    RunMetrics,
     Trend,
     spearman_rho,
     summarize,
-    summarize_cell,
     trend_direction,
 )
 
@@ -90,30 +88,3 @@ def test_trend_errors():
         trend_direction([(1, 1.0), (2, 2.0), (3, 3.0)], threshold=0.0)
     with pytest.raises(ParameterError):
         spearman_rho([(1, 2.0)])
-
-
-def _row(run, energy, delay):
-    return RunMetrics(fidelity="low", arrival="cbr", polling="deterministic",
-                      mean_poll_interval_s=5.0, run=run, seed=run,
-                      energy_mJ=energy, mean_delay_s=delay,
-                      delivered=10, dropped=0, collisions=0, retransmissions=0)
-
-
-def test_summarize_cell():
-    cell = summarize_cell([_row(0, 100.0, 1.0), _row(1, 110.0, 1.2)])
-    assert cell.n_runs == 2
-    assert cell.energy_mean_mJ == pytest.approx(105.0)
-    assert cell.energy is not None and cell.energy.mean == pytest.approx(105.0)
-    single = summarize_cell([_row(0, 100.0, 1.0)])
-    assert single.energy is None and single.energy_mean_mJ == 100.0
-
-
-def test_summarize_cell_rejects_mixed_rows():
-    other = RunMetrics(fidelity="low", arrival="cbr", polling="exponential",
-                       mean_poll_interval_s=5.0, run=0, seed=0,
-                       energy_mJ=1.0, mean_delay_s=1.0,
-                       delivered=1, dropped=0, collisions=0, retransmissions=0)
-    with pytest.raises(ParameterError):
-        summarize_cell([_row(0, 1.0, 1.0), other])
-    with pytest.raises(InsufficientDataError):
-        summarize_cell([])

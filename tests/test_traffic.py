@@ -91,6 +91,12 @@ def test_cycle_cv_informative_window():
     assert est.sample_count == 3  # gaps, not observations
     window.clear()
     assert cycle_cv(window) is None
+    # gaps 2, 4, 6, 8 by hand with the n-1 divisor: std sqrt(20/3)
+    est = cycle_cv(CvWindow(10.0, [0.0, 2.0, 6.0, 12.0, 20.0]))
+    assert est.sample_count == 4
+    assert est.mean_s == 5.0
+    assert est.std_s == pytest.approx(2.581988897471611, abs=1e-12)
+    assert est.cv == pytest.approx(0.5163977794943222, abs=1e-12)
 
 
 def test_cycle_cv_needs_two_gaps():
