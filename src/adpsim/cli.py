@@ -146,7 +146,10 @@ class ExperimentConfig:
 
 
 def _parse_intervals(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.replace(",", " ").split())
+    try:
+        values = tuple(float(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        raise ParameterError(f"cannot parse poll intervals {text!r}") from None
     if not values:
         raise ParameterError("poll_intervals_s is empty")
     return values
@@ -158,8 +161,13 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     regardless of case, since configparser lower-cases them (tx_mW)."""
     if path is None:
         return ExperimentConfig()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # values are plain numbers and words, so '%' gets no meaning of its own
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        reason = str(exc).splitlines()[0]
+        raise ParameterError(f"cannot read config file {path!r}: {reason}") from None
     if not read:
         raise ParameterError(f"cannot read config file {path!r}")
     classes = {f.name: f.default_factory for f in fields(ExperimentConfig)}
@@ -181,15 +189,18 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
 def _convert(type_str, raw, parser, section, key):
     if type_str == "tuple[float, ...]":
         return _parse_intervals(raw)
-    if type_str == "float | None":
-        return None if raw.strip() == "" else float(raw)
-    if type_str == "int":
-        return int(raw)
-    if type_str == "float":
-        return float(raw)
-    if type_str == "bool":
-        return parser.getboolean(section, key)
-    raise ParameterError(f"cannot parse {key!r} in [{section}]")
+    try:
+        if type_str == "float | None":
+            return None if raw.strip() == "" else float(raw)
+        if type_str == "int":
+            return int(raw)
+        if type_str == "float":
+            return float(raw)
+        if type_str == "bool":
+            return parser.getboolean(section, key)
+    except ValueError:
+        pass
+    raise ParameterError(f"cannot parse {key!r} in [{section}]: {raw!r}")
 
 
 def run_seed(master_seed: int, fidelity: str, arrival: str,

@@ -94,8 +94,8 @@ class RadioPowerProfile:
 
     def __post_init__(self) -> None:
         for name in ("tx_mW", "rx_mW", "listen_mW", "sleep_mW"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0")
         active_floor = min(self.tx_mW, self.rx_mW, self.listen_mW)
         if self.sleep_mW > 0 and active_floor < 100.0 * self.sleep_mW:
             raise ParameterError("active draw must be >= 100x sleep_mW")
@@ -116,16 +116,16 @@ class MacParams:
 
     def __post_init__(self) -> None:
         for name in ("early_ack_wait_s", "cca_slot_s"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
         if self.initial_backoff_slots < 1:
             raise ParameterError("initial_backoff_slots must be >= 1")
         if self.backoff_cap_slots < self.initial_backoff_slots:
             raise ParameterError("backoff_cap_slots below initial window")
         if self.max_retries < 0:
             raise ParameterError("max_retries must be >= 0")
-        if self.strobe_timeout_s is not None and not self.strobe_timeout_s > 0:
-            raise ParameterError("strobe_timeout_s must be > 0 when set")
+        if self.strobe_timeout_s is not None and not 0 < self.strobe_timeout_s < math.inf:
+            raise ParameterError("strobe_timeout_s must be finite and > 0 when set")
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,15 @@ class LowLevelConfig:
             raise ParameterError("need the sink plus at least one source")
         if self.packets_per_node < 0:
             raise ParameterError("packets_per_node must be >= 0")
-        if not self.bit_rate_bps > 0:
-            raise ParameterError("bit_rate_bps must be > 0")
-        if not self.cycle_duration_s > 0:
-            raise ParameterError("cycle_duration_s must be > 0")
+        for name in ("bit_rate_bps", "cycle_duration_s", "idle_horizon_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
         if not self.cv_threshold > 0:
             raise ParameterError("cv_threshold must be > 0")
-        if not self.idle_horizon_s > 0:
-            raise ParameterError("idle_horizon_s must be > 0")
+        # a wake window is one CCA slot and wake windows never overlap, so a
+        # shorter poll mean cannot be honoured and only floods the schedule
+        if self.polling.mean_interval_s < self.mac.cca_slot_s:
+            raise ParameterError("polling mean_interval_s must be >= mac.cca_slot_s")
         if self.max_events < 1:
             raise ParameterError("max_events must be >= 1")
 
@@ -185,9 +186,6 @@ class Frame:
     end_s: float
     packets: tuple[Packet, ...] = ()
     collided: bool = False
-    # bumped whenever the frame is moved; the end event carries the value
-    # it was scheduled for, so superseded events are recognised and dropped
-    gen: int = 0
 
 
 class Channel:
@@ -387,7 +385,6 @@ class _Simulation:
         """Clear-channel assessment over one slot, then either the strobe
         train or a backoff. CCA is ideal: anything on the air during the
         assessment window is detected."""
-        self._materialize_trains(now)
         self._settle(node, now)
         cca_end = now + self.slot
         self._charge(node, RadioState.LISTEN, cca_end)
@@ -494,9 +491,6 @@ class _Simulation:
     def _on_strobe_tx_end(self, ev: Event) -> str:
         node = self.nodes[ev.node_id]
         strobe = ev.frame
-        if ev.gen != strobe.gen:
-            # a bulk jump moved this strobe; a fresh event tracks it now
-            return "rescheduled"
         now = ev.time_s
         delivered = self.channel.resolve(strobe)
         self._charge(node, RadioState.LISTEN, strobe.start_s)
@@ -538,26 +532,28 @@ class _Simulation:
         transmission would overlap its next strobe it defers into a backoff
         instead of jamming it. Without this, two trains that once collide
         would share a period and collide on every strobe until both time
-        out; with it, registration order picks a single winner. The check
-        also keeps the bulk jump sound: any frame long enough to reach into
-        the jumped window triggers a deferral here first."""
+        out; with it, registration order picks a single winner. The strobe
+        is registered before the jump is sized, so that its own train is
+        part of the pattern the backoff replay reads."""
         next_start = now + self.ea_wait
         if self.channel.activity_overlapping(next_start, next_start + self.strobe_air):
             node.timer_gen += 1
             node.timed_out = False
             self._start_backoff(now, node)
             return
-        base = now + self._train_jump(now, node) * self.strobe_cycle
         strobe = Frame(node.node_id, 0, FrameKind.STROBE,
-                       base + self.ea_wait, base + self.ea_wait + self.strobe_air)
+                       next_start, next_start + self.strobe_air)
         self.channel.register(strobe)
+        shift = self._train_jump(now, node) * self.strobe_cycle
+        strobe.start_s += shift
+        strobe.end_s += shift
         self._push(strobe.end_s, node.node_id, EventKind.STROBE_TX_END, frame=strobe)
 
     def _next_fixed_event_s(self) -> float:
         """Earliest moment the steady strobing regime can change from the
         outside: a poll, a packet arrival, a strobe timeout, or a
-        polling-adaptation boundary. Backoff expiries are deliberately not
-        in this set; while the regime holds they are replayed analytically."""
+        polling-adaptation boundary. Backoff expiries are not in this set;
+        _replay_backoffs finds the first one that can change the regime."""
         t = self.next_poll_s
         if self.generated < len(self.arrival_times):
             next_arrival = self.arrival_times[self.generated]
@@ -570,20 +566,19 @@ class _Simulation:
                 t = other.timeout_at_s
         return t
 
-    def _steady_trains(self) -> list[Frame] | None:
-        """The active frames when the network is in its quiet strobing
-        regime: sink asleep and nothing on the air but clean strobe trains
-        from senders that have not timed out. None outside that regime."""
+    def _steady_trains(self) -> bool:
+        """Whether the network is in its quiet strobing regime: sink asleep
+        and nothing on the air but clean strobe trains from senders that
+        have not timed out. Both fast paths run only inside it."""
         if self.sink.mode is not NodeMode.SLEEP:
-            return None
-        frames = self.channel._active
-        for frame in frames:
+            return False
+        for frame in self.channel._active:
             if frame.collided or frame.kind is not FrameKind.STROBE:
-                return None
+                return False
             owner = self.nodes[frame.sender]
             if owner.mode is not NodeMode.STROBE_SENDING or owner.timed_out:
-                return None
-        return frames
+                return False
+        return True
 
     def _strobe_pattern_busy(self, start_s: float, end_s: float) -> bool:
         """Whether some strobe train occupies part of [start_s, end_s).
@@ -599,65 +594,63 @@ class _Simulation:
                 return True
         return False
 
-    def _materialize_trains(self, now: float) -> None:
-        """Shift every jumped strobe frame back to the cycle covering `now`
-        and return its owner's pre-charge for the cycles that have not
-        elapsed yet. After this the registry again reflects what is
-        physically on the air, so registering a new frame against it and
-        assessing the channel from it are sound."""
-        for frame in self.channel._active:
-            if frame.kind is not FrameKind.STROBE:
-                continue
-            back = int((frame.end_s - now) / self.strobe_cycle)
-            if frame.end_s - back * self.strobe_cycle <= now:
-                back -= 1
-            if back <= 0:
-                continue
-            frame.start_s -= back * self.strobe_cycle
-            frame.end_s -= back * self.strobe_cycle
-            frame.gen += 1
-            owner = self.nodes[frame.sender]
-            owner.residency[RadioState.LISTEN].add(-(back * self.ea_wait))
-            owner.residency[RadioState.TX].add(-(back * self.strobe_air))
-            owner.strobe_tx_s -= back * self.strobe_air
-            owner.strobe_count -= back
-            owner.radio_since -= back * self.strobe_cycle
-            self._push(frame.end_s, frame.sender, EventKind.STROBE_TX_END,
-                       frame=frame, gen=frame.gen)
+    def _replay_backoffs(self, horizon: float) -> float:
+        """Where the steady regime ends: the first backoff attempt, over all
+        nodes in backoff and in time order, that could find the channel
+        clear, or `horizon` if that comes first. Each earlier attempt is one
+        the strobe pattern shows busy and is replayed as the step-by-step
+        handler runs it: a slot of listening, then a backoff drawn from the
+        node's own substream. A replayed node is charged once and gets one
+        new expiry event; the ones it supersedes are dropped when due."""
+        attempts = [(n.backoff_until_s, n.node_id) for n in self.nodes[1:]
+                    if n.mode is NodeMode.BACKOFF]
+        heapq.heapify(attempts)
+        replayed: dict[int, tuple[int, float]] = {}  # node -> (count, last CCA end)
+        end = horizon
+        while attempts:
+            t, node_id = attempts[0]
+            cca_end = t + self.slot
+            if cca_end > horizon or not self._strobe_pattern_busy(t, cca_end):
+                end = min(t, horizon)
+                break
+            node = self.nodes[node_id]
+            count = replayed[node_id][0] + 1 if node_id in replayed else 1
+            replayed[node_id] = (count, cca_end)
+            node.backoff_until_s = t + self._draw_backoff_slots(node) * self.slot
+            heapq.heapreplace(attempts, (node.backoff_until_s, node_id))
+        for node_id, (count, cca_end) in replayed.items():
+            node = self.nodes[node_id]
+            listen = count * self.slot
+            asleep = cca_end - node.radio_since - listen
+            if asleep < -_AUDIT_TOL_S:
+                raise SimulationIntegrityError(
+                    f"node {node_id}: replayed sleep of {asleep} s")
+            node.residency[RadioState.SLEEP].add(asleep)
+            node.residency[RadioState.LISTEN].add(listen)
+            node.radio_since = cca_end
+            self._push(node.backoff_until_s, node_id, EventKind.BACKOFF_EXPIRED)
+        return end
 
     def _train_jump(self, now: float, node: _Node) -> int:
-        """Advance every active strobe train by the same number of whole
-        cycles when the window up to the next fixed event holds nothing but
-        train continuations. All trains share one period, so their relative
-        phases are frozen: clean trains stay clean and the deferral rule
-        fires identically before and after the jump. Peers' pending strobes
-        are shifted in place with their owners charged ahead, superseded
-        end events no-op, and _materialize_trains unwinds whatever part of
-        a shift has not elapsed if the registry is needed mid-window."""
-        peers = self._steady_trains()
-        if peers is None:
+        """Whole strobe cycles of the node's train, from `now`, that end
+        before the steady regime does; they are charged here in bulk and
+        the caller moves the just-registered strobe ahead by as many. No
+        other frame is touched: each train skips its own cycles at its own
+        strobe end. Because no strobe is moved past the regime end, the
+        registry is exact again whenever the regime ends."""
+        if not self._steady_trains():
             return 0
-        cycles = int((self._next_fixed_event_s() - now) / self.strobe_cycle) - 1
+        horizon = self._next_fixed_event_s()
+        if int((horizon - now) / self.strobe_cycle) < 2:
+            return 0  # no jump fits, so the replay would be wasted work
+        cycles = int((self._replay_backoffs(horizon) - now) / self.strobe_cycle) - 1
         if cycles < 1:
             return 0
-        shift = cycles * self.strobe_cycle
         mid = node.radio_since + cycles * self.ea_wait
         self._charge(node, RadioState.LISTEN, mid)
         self._charge(node, RadioState.TX, mid + cycles * self.strobe_air)
         node.strobe_tx_s += cycles * self.strobe_air
         node.strobe_count += cycles
-        for frame in peers:
-            owner = self.nodes[frame.sender]
-            mid = owner.radio_since + cycles * self.ea_wait
-            self._charge(owner, RadioState.LISTEN, mid)
-            self._charge(owner, RadioState.TX, mid + cycles * self.strobe_air)
-            owner.strobe_tx_s += cycles * self.strobe_air
-            owner.strobe_count += cycles
-            frame.start_s += shift
-            frame.end_s += shift
-            frame.gen += 1
-            self._push(frame.end_s, frame.sender, EventKind.STROBE_TX_END,
-                       frame=frame, gen=frame.gen)
         return cycles
 
     def _on_early_ack_tx_end(self, ev: Event) -> str:
@@ -780,23 +773,14 @@ class _Simulation:
             raise SimulationIntegrityError(
                 f"backoff expiry for node {node.node_id} in mode {node.mode}")
         now = ev.time_s
-        busy_runs = 0
-        if self._steady_trains() is not None:
-            # assessments that cannot succeed are replayed here instead of
-            # paying scheduler costs for each; only a winnable attempt, a
-            # horizon crossing, or a regime change goes back on the heap
-            horizon = self._next_fixed_event_s()
-            while (now + self.slot <= horizon
-                   and self._strobe_pattern_busy(now, now + self.slot)):
-                self._settle(node, now)
-                self._charge(node, RadioState.LISTEN, now + self.slot)
-                now += self._draw_backoff_slots(node) * self.slot
-                node.backoff_until_s = now
-                busy_runs += 1
-            if now != ev.time_s:
-                self._push(now, node.node_id, EventKind.BACKOFF_EXPIRED)
-                return f"busy x{busy_runs}"
-        self._settle(node, now)
+        if now != node.backoff_until_s:
+            return "superseded"
+        if self._steady_trains() and self._strobe_pattern_busy(now, now + self.slot):
+            # assessments that cannot succeed are replayed instead of paying
+            # scheduler costs for each; a moved one is back on the heap
+            self._replay_backoffs(self._next_fixed_event_s())
+            if node.backoff_until_s != now:
+                return "busy"
         self._begin_access(now, node)
         return "retrying" if node.retry_count else "accessing"
 

@@ -365,6 +365,34 @@ def test_main_rejects_non_finite_inputs(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ini, argv, named", [
+    ("[low]\nnode_count = abc\n", ["low"], "'node_count' in [low]"),
+    ("[sweep]\npoll_intervals_s = 1 two\n", ["sweep", "--out", "runs.csv"],
+     "poll intervals"),
+    ("[mac]\ncca_slot_s = inf\n", ["low", "--nodes", "3", "--packets", "2"],
+     "cca_slot_s"),
+    ("[radio]\ntx_mW = inf\n", ["low", "--nodes", "3", "--packets", "2"],
+     "tx_mW"),
+    ("", ["low", "--poll-mean", "1e-9", "--nodes", "2", "--packets", "1"],
+     "cca_slot_s"),
+    ("", ["sweep", "--out", "runs.csv", "--grid", "1 x"], "poll intervals"),
+    ("node_count = 3\n", ["low"], "exp.ini"),
+    ("[low]\nnode_count = 5%\n", ["low"], "'node_count' in [low]"),
+], ids=["unparsable-int", "unparsable-grid-key", "inf-cca-slot", "inf-tx-power",
+        "poll-mean-below-cca-slot", "unparsable-grid-flag", "no-section-header",
+        "percent-sign"])
+def test_main_rejects_bad_values(ini, argv, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if ini:
+        (tmp_path / "exp.ini").write_text(ini)
+        argv = [*argv, "--config", "exp.ini"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_main_sweep_and_report_round_trip(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     code = main(["sweep", "--out", str(out), "--grid", "2 4",
@@ -445,7 +473,7 @@ def _sweep_digest(tmp_path, *args) -> str:
 def test_default_sweep_csv_is_byte_stable(tmp_path):
     # default config on a two-interval grid, one radio run per cell: 140 rows
     assert _sweep_digest(tmp_path, "--grid", "1 2", "--runs", "1") == (
-        "770bbb79651a10e7f6cfacb605ed9523e6a4d90f9b9147a31f44e3a61b3c988a")
+        "1d99a85617c9ea9a137706b3b42eadde40a6b8b3775cdf6717846d24df8a3dc7")
 
 
 def test_every_ini_key_reaches_the_sweep(tmp_path):
@@ -454,7 +482,7 @@ def test_every_ini_key_reaches_the_sweep(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(_EVERY_KEY_INI)
     assert _sweep_digest(tmp_path, "--config", str(ini)) == (
-        "97d32919717fb4d7569c59ca6fbd35f3cb1f07647427b96a2af4ca2b22c5cbe5")
+        "80ad77ba77a87ad4ca4eda88aa786c5addc35ce3c6dcd2a4b89c754e6981aa73")
 
 
 def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
@@ -476,4 +504,4 @@ def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
     assert exp.energy.energy_per_byte_mJ == 0.25
     assert exp.radio.tx_mW == 60.0
     assert _sweep_digest(tmp_path, "--config", str(ini)) == (
-        "d5879119a22ffea4573fff4fcde221080703b8b9350f623037737a97dc96e23c")
+        "3701386de90e8dff9efb6a1d8b6e49c05848847107d1b8377cb47bbd93b1c503")

@@ -10,7 +10,14 @@ from adpsim.core import (
     PollingDistribution,
     PollingKind,
 )
-from adpsim.lowsim import LowLevelConfig, MacParams, airtime, run_low_level
+from adpsim.lowsim import (
+    LowLevelConfig,
+    MacParams,
+    RadioPowerProfile,
+    _Simulation,
+    airtime,
+    run_low_level,
+)
 from adpsim.traffic import ArrivalTimeline
 
 BIT_RATE = 18780.0
@@ -212,6 +219,16 @@ def test_config_validation():
         LowLevelConfig(arrival=ArrivalModel(ArrivalKind.CBR, 50.0),
                        polling=PollingDistribution(PollingKind.DETERMINISTIC, 1.0),
                        cycle_duration_s=0.0)
+    for name in ("bit_rate_bps", "cycle_duration_s", "idle_horizon_s"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="finite"):
+                _config(**{name: bad})
+    # a poll mean below one CCA slot (the wake window) is refused, not run
+    with pytest.raises(ParameterError):
+        _config(polling=PollingDistribution(PollingKind.DETERMINISTIC, 1e-9))
+    with pytest.raises(ParameterError):
+        _config(polling=PollingDistribution(PollingKind.EXPONENTIAL, 0.0005))
+    _config(polling=PollingDistribution(PollingKind.DETERMINISTIC, 0.001))
 
 
 def test_mac_params_validation():
@@ -221,3 +238,51 @@ def test_mac_params_validation():
         MacParams(max_retries=-1)
     with pytest.raises(ParameterError):
         MacParams(strobe_timeout_s=0.0)
+    for name in ("early_ack_wait_s", "cca_slot_s", "strobe_timeout_s"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="finite"):
+                MacParams(**{name: bad})
+    for name in ("tx_mW", "rx_mW", "listen_mW", "sleep_mW"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="finite"):
+                RadioPowerProfile(**{name: bad})
+
+
+_EXACT_FIELDS = (
+    "generated", "delivered", "dropped", "collisions", "retransmissions",
+    "poll_count", "strobe_count", "superpacket_size_histogram",
+    "polling_switches", "informative_cycles", "deterministic_selections",
+    "exponential_selections", "final_polling_kind",
+)
+_CLOSE_FIELDS = ("total_energy_mJ", "strobe_energy_mJ", "mean_delay_s",
+                 "duration_s")
+
+
+@pytest.mark.parametrize("nodes, arrival, polling", [
+    (4, ArrivalKind.CBR, PollingKind.DETERMINISTIC),
+    (5, ArrivalKind.CBR, PollingKind.EXPONENTIAL),
+    (5, ArrivalKind.BURSTY, PollingKind.EXPONENTIAL),
+    (6, ArrivalKind.POISSON, PollingKind.EXPONENTIAL),
+    (6, ArrivalKind.BURSTY, PollingKind.DYNAMIC),
+], ids=lambda v: getattr(v, "value", v))
+def test_fast_paths_match_step_by_step(nodes, arrival, polling, monkeypatch):
+    """The strobe-train jump and the backoff replay stand in for events the
+    step-by-step model would process one at a time, so they must not change
+    what a run computes. A _steady_trains that never finds the steady regime
+    switches both off and gives the reference. Event counts differ by design
+    and are not compared. Per-node energy is held to the run's total: float
+    drift alone moves a mostly-asleep sink's own figure by about 1e-9 of it."""
+    config = _config(arrival=ArrivalModel(arrival, 50.0),
+                     polling=PollingDistribution(polling, 5.0),
+                     node_count=nodes, packets_per_node=8)
+    fast = run_low_level(config, 2)
+    monkeypatch.setattr(_Simulation, "_steady_trains", lambda self: None)
+    step = run_low_level(config, 2)
+    for name in _EXACT_FIELDS:
+        assert getattr(fast, name) == getattr(step, name), name
+    for name in _CLOSE_FIELDS:
+        assert getattr(fast, name) == pytest.approx(getattr(step, name),
+                                                    rel=1e-9), name
+    assert fast.per_node_time_s == pytest.approx(step.per_node_time_s, rel=1e-9)
+    assert fast.per_node_energy_mJ == pytest.approx(
+        step.per_node_energy_mJ, rel=0, abs=1e-9 * step.total_energy_mJ)
