@@ -55,6 +55,13 @@ class SweepSection:
     include_high: bool = True
     include_low: bool = True
 
+    def __post_init__(self) -> None:
+        # include_high/include_low turn a fidelity off; zero runs would
+        # silently leave its rows out
+        for name in ("high_runs_per_cell", "low_runs_per_cell"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+
 
 # A section field that a simulator config also has takes its default from
 # there: a dataclass keeps each field's default as a class attribute.
@@ -207,6 +214,8 @@ def run_seed(master_seed: int, fidelity: str, arrival: str,
              interval_s: float, rep: int) -> int:
     """Per-run seed. The polling kind is deliberately left out so different
     polling distributions are compared on identical arrival realizations."""
+    if master_seed < 0:
+        raise ParameterError(f"master seed must be >= 0, got {master_seed}")
     interval_bits = int(np.float64(interval_s).view(np.uint64))
     ss = np.random.SeedSequence([int(master_seed), zlib.crc32(fidelity.encode()),
                                  zlib.crc32(arrival.encode()), interval_bits,

@@ -147,6 +147,8 @@ def substream(master_seed: int, *scope: int | str) -> np.random.Generator:
     Streams for different scopes are statistically independent, and adding a
     new scope never perturbs the draws of an existing one.
     """
+    if master_seed < 0:
+        raise ParameterError(f"master seed must be >= 0, got {master_seed}")
     words: list[int] = []
     for part in scope:
         if isinstance(part, str):

@@ -36,6 +36,9 @@ from .traffic import ArrivalTimeline, CvWindow, cycle_cv, generate_arrivals
 # stays orders of magnitude below this.
 _AUDIT_TOL_S = 1e-9
 
+# Backoff slots are drawn this many at a time (see _draw_backoff_slots).
+_DRAW_BLOCK = 64
+
 
 def airtime(n_bytes: int, bit_rate_bps: float) -> float:
     """Seconds a frame of n_bytes occupies the channel."""
@@ -270,6 +273,10 @@ class _Node:
     strobe_count: int = 0
     timeout_at_s: float = 0.0
     backoff_until_s: float = 0.0
+    draw_window: int = 0
+    draw_cursor: int = 0
+    draw_block: list = field(default_factory=list)
+    draw_state: dict | None = None
 
     def __post_init__(self) -> None:
         self.residency = {state: _TimeAccumulator() for state in RadioState}
@@ -404,9 +411,33 @@ class _Simulation:
                    EventKind.STROBE_TIMEOUT, gen=node.timer_gen)
 
     def _draw_backoff_slots(self, node: _Node) -> int:
+        """Backoff slots for the node's next attempt, uniform on 1..window,
+        where the window doubles with each retry up to the cap. The values
+        are those of one scalar `integers(0, window)` draw per call from the
+        node's own substream, plus one, but are drawn `_DRAW_BLOCK` at a
+        time: a block draw gives the same values and end state as that many
+        scalar draws.
+
+        Invariant: `draw_state` is the generator state from just before
+        `draw_block` was drawn with `draw_window`, and its first
+        `draw_cursor` values are the ones handed out. When the window
+        changes with values still unused, restoring that state and drawing
+        `draw_cursor` values of the old window leaves the generator where
+        the scalar draws would have, and the next block starts there."""
         window = min(self.cfg.mac.initial_backoff_slots << node.retry_count,
                      self.cfg.mac.backoff_cap_slots)
-        return 1 + int(self.backoff_rng[node.node_id].integers(0, window))
+        cursor = node.draw_cursor
+        if window != node.draw_window or cursor == len(node.draw_block):
+            rng = self.backoff_rng[node.node_id]
+            if cursor < len(node.draw_block):
+                rng.bit_generator.state = node.draw_state
+                rng.integers(1, node.draw_window + 1, size=cursor)
+            node.draw_state = rng.bit_generator.state
+            node.draw_block = rng.integers(1, window + 1, size=_DRAW_BLOCK).tolist()
+            node.draw_window = window
+            cursor = 0
+        node.draw_cursor = cursor + 1
+        return node.draw_block[cursor]
 
     def _start_backoff(self, now: float, node: _Node) -> None:
         node.mode = NodeMode.BACKOFF

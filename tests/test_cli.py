@@ -1,9 +1,14 @@
 """Seed derivation, config files, the runs CSV, and the comparison logic."""
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adpsim
 from adpsim.cli import (
     ExperimentConfig,
     RUNS_CSV_HEADER,
@@ -348,6 +353,18 @@ def test_main_reports_io_errors_as_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(adpsim.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "adpsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    ok = run("high", "--poll-mean", "10")
+    assert ok.returncode == 0 and "energy_mJ = " in ok.stdout
+    bad = run("high", "--seed", "-1")
+    assert bad.returncode == 2 and bad.stderr.startswith("error: master seed")
+
+
 def test_main_sweep_requires_an_output(capsys):
     assert main(["sweep"]) == 2
     assert "out" in capsys.readouterr().err
@@ -378,9 +395,19 @@ def test_main_rejects_non_finite_inputs(argv, capsys):
     ("", ["sweep", "--out", "runs.csv", "--grid", "1 x"], "poll intervals"),
     ("node_count = 3\n", ["low"], "exp.ini"),
     ("[low]\nnode_count = 5%\n", ["low"], "'node_count' in [low]"),
+    ("", ["low", "--seed", "-1", "--nodes", "2", "--packets", "1"], "master seed"),
+    ("", ["high", "--seed", "-1"], "master seed"),
+    ("", ["sweep", "--out", "runs.csv", "--seed", "-3"], "master seed"),
+    ("[sweep]\nmaster_seed = -1\n", ["sweep", "--out", "runs.csv"], "master seed"),
+    ("", ["sweep", "--out", "runs.csv", "--runs", "0"], "low_runs_per_cell"),
+    ("", ["sweep", "--out", "runs.csv", "--runs", "-1"], "low_runs_per_cell"),
+    ("[sweep]\nhigh_runs_per_cell = 0\n", ["sweep", "--out", "runs.csv"],
+     "high_runs_per_cell"),
 ], ids=["unparsable-int", "unparsable-grid-key", "inf-cca-slot", "inf-tx-power",
         "poll-mean-below-cca-slot", "unparsable-grid-flag", "no-section-header",
-        "percent-sign"])
+        "percent-sign", "negative-low-seed", "negative-high-seed",
+        "negative-sweep-seed", "negative-ini-seed", "zero-runs-flag",
+        "negative-runs-flag", "zero-high-runs-key"])
 def test_main_rejects_bad_values(ini, argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if ini:

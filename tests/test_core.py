@@ -100,3 +100,5 @@ def test_substream_scope_validation():
         substream(5, -1)
     with pytest.raises(ParameterError):
         substream(5, 2.5)
+    with pytest.raises(ParameterError, match="master seed"):
+        substream(-1, "arrivals")

@@ -286,3 +286,36 @@ def test_fast_paths_match_step_by_step(nodes, arrival, polling, monkeypatch):
     assert fast.per_node_time_s == pytest.approx(step.per_node_time_s, rel=1e-9)
     assert fast.per_node_energy_mJ == pytest.approx(
         step.per_node_energy_mJ, rel=0, abs=1e-9 * step.total_energy_mJ)
+
+
+@pytest.mark.parametrize("arrival, interval_s, max_retries", [
+    (ArrivalKind.CBR, 6.0, 5),
+    (ArrivalKind.POISSON, 10.0, 5),
+    (ArrivalKind.CBR, 6.0, 1),
+], ids=["cbr-6s", "poisson-10s", "cbr-6s-max-retries-1"])
+def test_block_draws_match_scalar_draws(arrival, interval_s, max_retries,
+                                        monkeypatch):
+    """Backoff slots are drawn in blocks, and a retry that changes the
+    window rewinds the node's generator to where one scalar draw per
+    attempt would have left it. The reference makes exactly those scalar
+    draws, so every field of the result must agree, event_count included.
+    The configs are saturated with exponential polls, so strobe timeouts
+    move senders through several windows; the last one also drops."""
+    config = _config(arrival=ArrivalModel(arrival, 50.0),
+                     polling=PollingDistribution(PollingKind.EXPONENTIAL, interval_s),
+                     node_count=10, packets_per_node=8,
+                     mac=MacParams(max_retries=max_retries))
+    blocked = run_low_level(config, 3)
+    windows = set()
+
+    def scalar_draw(self, node):
+        window = min(self.cfg.mac.initial_backoff_slots << node.retry_count,
+                     self.cfg.mac.backoff_cap_slots)
+        windows.add(window)
+        return 1 + int(self.backoff_rng[node.node_id].integers(0, window))
+
+    monkeypatch.setattr(_Simulation, "_draw_backoff_slots", scalar_draw)
+    assert run_low_level(config, 3) == blocked
+    assert len(windows) > 1
+    if max_retries == 1:
+        assert blocked.dropped > 0
