@@ -8,6 +8,12 @@ CSMA with binary exponential backoff, and each node carries a four-state
 radio whose per-state residency times form the energy ledger. The sink can
 optionally retune its polling distribution from the coefficient of
 variation of the packet generation gaps it observed during the last cycle.
+
+Time is an integer count of nanosecond ticks. Every duration and arrival
+instant is rounded to ticks once, when the simulation is set up, so sums of
+times are exact and two events due at the same instant share one tick. Such
+events run in the order of a fixed rank per event kind (_RANK), then node
+id, then push order; the results report seconds.
 """
 from __future__ import annotations
 
@@ -31,13 +37,17 @@ from .core import (
 )
 from .traffic import ArrivalTimeline, CvWindow, cycle_cv, generate_arrivals
 
-# Span audit slack per node, in seconds. Charges are computed as differences
-# of event timestamps and accumulated with compensation, so the real error
-# stays orders of magnitude below this.
-_AUDIT_TOL_S = 1e-9
+TICKS_PER_S = 1_000_000_000
 
 # Backoff slots are drawn this many at a time (see _draw_backoff_slots).
 _DRAW_BLOCK = 64
+
+
+def _ticks(seconds: float) -> int:
+    try:
+        return round(seconds * TICKS_PER_S)
+    except OverflowError:
+        raise ParameterError(f"{seconds} s is too long to count in ticks") from None
 
 
 def airtime(n_bytes: int, bit_rate_bps: float) -> float:
@@ -84,6 +94,27 @@ class EventKind(Enum):
     BACKOFF_EXPIRED = "backoff_expired"
     STROBE_TIMEOUT = "strobe_timeout"
     CYCLE_BOUNDARY = "cycle_boundary"
+
+
+# Order of events due at the same tick, lowest first.
+_RANK = {
+    # a cycle is [start, end): what happens on its end tick is the next cycle's
+    EventKind.CYCLE_BOUNDARY: 0,
+    # a frame is on the air over [start, end), as Channel counts overlap:
+    # it is gone for anything that starts on its end tick
+    EventKind.STROBE_TX_END: 1,
+    EventKind.EARLY_ACK_TX_END: 1,
+    EventKind.DATA_TX_END: 1,
+    EventKind.ACK_TX_END: 1,
+    # a frame that ends on its sender's deadline tick finished in time
+    EventKind.STROBE_TIMEOUT: 2,
+    # channel assessments and polls sense the air after every frame change on
+    # their tick; none registers a frame that starts on it, so their mutual
+    # order cannot change what any of them senses
+    EventKind.PACKET_GENERATED: 3,
+    EventKind.POLL_START: 3,
+    EventKind.BACKOFF_EXPIRED: 3,
+}
 
 
 @dataclass(frozen=True)
@@ -175,18 +206,18 @@ class LowLevelConfig:
 class Packet:
     node_id: int
     seq_no: int
-    created_s: float
+    created: int
 
 
 @dataclass(slots=True, eq=False)
 class Frame:
-    """One transmission occupying [start_s, end_s) on the shared channel."""
+    """One transmission occupying the ticks [start, end) on the shared channel."""
 
     sender: int
     target: int
     kind: FrameKind
-    start_s: float
-    end_s: float
+    start: int
+    end: int
     packets: tuple[Packet, ...] = ()
     collided: bool = False
 
@@ -202,7 +233,7 @@ class Channel:
 
     def register(self, frame: Frame) -> None:
         for other in self._active:
-            if other.start_s < frame.end_s and frame.start_s < other.end_s:
+            if other.start < frame.end and frame.start < other.end:
                 if not other.collided:
                     other.collided = True
                     self.collision_count += 1
@@ -217,42 +248,8 @@ class Channel:
         self._active.remove(frame)
         return not frame.collided
 
-    def activity_overlapping(self, start_s: float, end_s: float) -> bool:
-        return any(f.start_s < end_s and start_s < f.end_s for f in self._active)
-
-
-@dataclass(order=True, slots=True)
-class Event:
-    time_s: float
-    seq: int
-    node_id: int = field(compare=False, default=0)
-    kind: EventKind = field(compare=False, default=EventKind.POLL_START)
-    frame: Frame | None = field(compare=False, default=None)
-    packet: Packet | None = field(compare=False, default=None)
-    gen: int = field(compare=False, default=0)
-
-
-class _TimeAccumulator:
-    """Neumaier-compensated running sum of time spans. Keeps the per-node
-    residency audit far below _AUDIT_TOL_S over millions of tiny charges."""
-
-    __slots__ = ("_total", "_comp")
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._total + x
-        if abs(self._total) >= abs(x):
-            self._comp += (self._total - s) + x
-        else:
-            self._comp += (x - s) + self._total
-        self._total = s
-
-    @property
-    def value(self) -> float:
-        return self._total + self._comp
+    def activity_overlapping(self, start: int, end: int) -> bool:
+        return any(f.start < end and start < f.end for f in self._active)
 
 
 @dataclass(slots=True, eq=False)
@@ -260,26 +257,21 @@ class _Node:
     node_id: int
     mode: NodeMode = NodeMode.SLEEP
     radio: RadioState = RadioState.SLEEP
-    radio_since: float = 0.0
-    residency: dict = field(default_factory=dict)
+    radio_since: int = 0
+    residency: dict = field(default_factory=lambda: dict.fromkeys(RadioState, 0))
     queue: deque = field(default_factory=deque)
     retry_count: int = 0
     head_sent: bool = False
     timed_out: bool = False
-    timer_gen: int = 0
-    poll_gen: int = 0
     lock: Frame | None = None
-    strobe_tx_s: float = 0.0
+    strobe_tx: int = 0
     strobe_count: int = 0
-    timeout_at_s: float = 0.0
-    backoff_until_s: float = 0.0
+    timeout_at: int | None = None  # the armed strobe or block-ACK timeout
+    backoff_until: int = 0
     draw_window: int = 0
     draw_cursor: int = 0
     draw_block: list = field(default_factory=list)
     draw_state: dict | None = None
-
-    def __post_init__(self) -> None:
-        self.residency = {state: _TimeAccumulator() for state in RadioState}
 
 
 @dataclass(frozen=True)
@@ -316,9 +308,9 @@ class _Simulation:
         self.channel = Channel()
         self.nodes = [_Node(node_id=i) for i in range(config.node_count)]
         self.sink = self.nodes[0]
-        self.heap: list[Event] = []
+        self.heap: list[tuple] = []  # (tick, rank, node_id, seq, kind, item)
         self.seq = 0
-        self.now = 0.0
+        self.now = 0
         self.event_count = 0
 
         self.poll_rng = substream(seed, 0, "polling")
@@ -326,22 +318,28 @@ class _Simulation:
                             for n in self.nodes[1:]}
 
         fr = config.frames
-        self.strobe_air = airtime(fr.preamble_strobe_bytes, config.bit_rate_bps)
-        self.early_ack_air = airtime(fr.early_ack_bytes, config.bit_rate_bps)
-        self.block_ack_air = airtime(fr.ack_bytes, config.bit_rate_bps)
-        self.slot = config.mac.cca_slot_s
-        self.ea_wait = config.mac.early_ack_wait_s
+        rate = config.bit_rate_bps
+        self.strobe_air = _ticks(airtime(fr.preamble_strobe_bytes, rate))
+        self.early_ack_air = _ticks(airtime(fr.early_ack_bytes, rate))
+        self.block_ack_air = _ticks(airtime(fr.ack_bytes, rate))
+        self.data_air = {n: _ticks(airtime(fr.superpacket_bytes(n), rate))
+                         for n in range(1, fr.max_concat + 1)}
+        self.slot = _ticks(config.mac.cca_slot_s)
+        self.ea_wait = _ticks(config.mac.early_ack_wait_s)
         self.strobe_cycle = self.ea_wait + self.strobe_air
-        self.strobe_timeout = config.strobe_timeout_resolved_s
+        self.strobe_timeout = _ticks(config.strobe_timeout_resolved_s)
+        self.poll_mean = _ticks(config.polling.mean_interval_s)
+        self.cycle = _ticks(config.cycle_duration_s)
+        self.idle_horizon = _ticks(config.idle_horizon_s)
 
         self.current_polling = (PollingKind.DETERMINISTIC
                                 if config.polling.kind is PollingKind.DYNAMIC
                                 else config.polling.kind)
         self.cv_window = CvWindow(cycle_duration_s=config.cycle_duration_s)
         self.received: set[tuple[int, int]] = set()
-        self.delays: list[float] = []
+        self.delays: list[int] = []
         self.superpacket_sizes: dict[int, int] = {}
-        self.switches: list[tuple[float, PollingKind, PollingKind]] = []
+        self.switches: list[tuple[int, PollingKind, PollingKind]] = []
         self.informative_cycles = 0
         self.det_selections = 0
         self.exp_selections = 0
@@ -352,43 +350,41 @@ class _Simulation:
         self.generated = 0
         self.pending = 0
         self.expected = sum(len(tl) for tl in timelines)
-        self.arrival_times = sorted(t for tl in timelines for t in tl.timestamps_s)
-        self.next_poll_s = math.inf
-        self.next_cycle_s = (config.cycle_duration_s
-                             if config.polling.kind is PollingKind.DYNAMIC
-                             else math.inf)
+        arrivals = [(_ticks(t), tl.node_id, i)
+                    for tl in timelines for i, t in enumerate(tl.timestamps_s)]
+        self.arrival_ticks = sorted(tick for tick, _, _ in arrivals)
+        self.next_poll = 0
+        self.next_cycle: int | None = None
 
-        for tl in timelines:
-            for i, t in enumerate(tl.timestamps_s):
-                self._push(t, tl.node_id, EventKind.PACKET_GENERATED,
-                           packet=Packet(tl.node_id, i, t))
-        self._schedule_poll(0.0)
+        for tick, node_id, i in arrivals:
+            self._push(tick, node_id, EventKind.PACKET_GENERATED,
+                       Packet(node_id, i, tick))
+        self._schedule_poll(0)
         if config.polling.kind is PollingKind.DYNAMIC:
-            self._push(config.cycle_duration_s, 0, EventKind.CYCLE_BOUNDARY)
+            self.next_cycle = self.cycle
+            self._push(self.cycle, 0, EventKind.CYCLE_BOUNDARY)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time_s: float, node_id: int, kind: EventKind,
-              frame: Frame | None = None, packet: Packet | None = None,
-              gen: int = 0) -> None:
+    def _push(self, tick: int, node_id: int, kind: EventKind,
+              item: Frame | Packet | None = None) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, Event(time_s, self.seq, node_id, kind,
-                                        frame, packet, gen))
+        heapq.heappush(self.heap, (tick, _RANK[kind], node_id, self.seq, kind, item))
 
-    def _charge(self, node: _Node, state: RadioState, until_s: float) -> None:
-        span = until_s - node.radio_since
-        if span < -_AUDIT_TOL_S:
+    def _charge(self, node: _Node, state: RadioState, until: int) -> None:
+        span = until - node.radio_since
+        if span < 0:
             raise SimulationIntegrityError(
-                f"node {node.node_id}: charge of {span} s ends before it starts")
-        node.residency[state].add(span)
-        node.radio_since = until_s
+                f"node {node.node_id}: charge of {span} ticks ends before it starts")
+        node.residency[state] += span
+        node.radio_since = until
 
-    def _settle(self, node: _Node, now: float) -> None:
+    def _settle(self, node: _Node, now: int) -> None:
         self._charge(node, node.radio, now)
 
     # -- sender side ------------------------------------------------------
 
-    def _begin_access(self, now: float, node: _Node) -> None:
+    def _begin_access(self, now: int, node: _Node) -> None:
         """Clear-channel assessment over one slot, then either the strobe
         train or a backoff. CCA is ideal: anything on the air during the
         assessment window is detected."""
@@ -404,11 +400,9 @@ class _Simulation:
         strobe = Frame(node.node_id, 0, FrameKind.STROBE,
                        cca_end, cca_end + self.strobe_air)
         self.channel.register(strobe)
-        self._push(strobe.end_s, node.node_id, EventKind.STROBE_TX_END, frame=strobe)
-        node.timer_gen += 1
-        node.timeout_at_s = cca_end + self.strobe_timeout
-        self._push(node.timeout_at_s, node.node_id,
-                   EventKind.STROBE_TIMEOUT, gen=node.timer_gen)
+        self._push(strobe.end, node.node_id, EventKind.STROBE_TX_END, strobe)
+        node.timeout_at = cca_end + self.strobe_timeout
+        self._push(node.timeout_at, node.node_id, EventKind.STROBE_TIMEOUT)
 
     def _draw_backoff_slots(self, node: _Node) -> int:
         """Backoff slots for the node's next attempt, uniform on 1..window,
@@ -439,14 +433,14 @@ class _Simulation:
         node.draw_cursor = cursor + 1
         return node.draw_block[cursor]
 
-    def _start_backoff(self, now: float, node: _Node) -> None:
+    def _start_backoff(self, now: int, node: _Node) -> None:
         node.mode = NodeMode.BACKOFF
         node.radio = RadioState.SLEEP
-        node.backoff_until_s = now + self._draw_backoff_slots(node) * self.slot
-        self._push(node.backoff_until_s, node.node_id, EventKind.BACKOFF_EXPIRED)
+        node.backoff_until = now + self._draw_backoff_slots(node) * self.slot
+        self._push(node.backoff_until, node.node_id, EventKind.BACKOFF_EXPIRED)
 
-    def _enter_retry(self, now: float, node: _Node) -> None:
-        node.timer_gen += 1
+    def _enter_retry(self, now: int, node: _Node) -> None:
+        node.timeout_at = None
         node.timed_out = False
         node.lock = None
         self._settle(node, now)
@@ -468,33 +462,32 @@ class _Simulation:
 
     # -- sink side --------------------------------------------------------
 
-    def _schedule_poll(self, now: float, floor_s: float = 0.0) -> None:
+    def _schedule_poll(self, now: int, floor: int = 0) -> None:
         """Arm the next poll. A draw shorter than an already-paid wake
         window is floored to the window end: wake windows never overlap."""
         if self.current_polling is PollingKind.DETERMINISTIC:
-            interval = self.cfg.polling.mean_interval_s
+            interval = self.poll_mean
         else:
-            interval = float(self.poll_rng.exponential(self.cfg.polling.mean_interval_s))
-        self.sink.poll_gen += 1
-        self.next_poll_s = max(now + interval, floor_s)
-        self._push(self.next_poll_s, 0, EventKind.POLL_START, gen=self.sink.poll_gen)
+            mean_s = self.cfg.polling.mean_interval_s
+            interval = _ticks(float(self.poll_rng.exponential(mean_s)))
+        self.next_poll = max(now + interval, floor)
+        self._push(self.next_poll, 0, EventKind.POLL_START)
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_packet_generated(self, ev: Event) -> str:
-        node = self.nodes[ev.node_id]
-        node.queue.append(ev.packet)
+    def _on_packet_generated(self, now: int, node_id: int, packet: Packet) -> str:
+        node = self.nodes[node_id]
+        node.queue.append(packet)
         self.generated += 1
         self.pending += 1
         if node.mode is NodeMode.SLEEP:
-            self._begin_access(ev.time_s, node)
+            self._begin_access(now, node)
         return f"queue={len(node.queue)}"
 
-    def _on_poll_start(self, ev: Event) -> str:
+    def _on_poll_start(self, now: int, node_id: int, item: None) -> str:
         sink = self.sink
-        if ev.gen != sink.poll_gen:
+        if now != self.next_poll:
             return "stale"
-        now = ev.time_s
         busy = self.channel.activity_overlapping(now, now + self.slot)
         if sink.mode is NodeMode.SLEEP:
             self._settle(sink, now)
@@ -506,7 +499,7 @@ class _Simulation:
             else:
                 # stays asleep; the wake window is still paid for
                 self._charge(sink, RadioState.LISTEN, now + self.slot)
-                self._schedule_poll(now, floor_s=now + self.slot)
+                self._schedule_poll(now, floor=now + self.slot)
             return "wake busy" if busy else "wake idle"
         # safety re-poll while already awake: hold on if the air is live,
         # otherwise give up on whoever went quiet and sleep again
@@ -519,14 +512,12 @@ class _Simulation:
         self._schedule_poll(now)
         return "give up"
 
-    def _on_strobe_tx_end(self, ev: Event) -> str:
-        node = self.nodes[ev.node_id]
-        strobe = ev.frame
-        now = ev.time_s
+    def _on_strobe_tx_end(self, now: int, node_id: int, strobe: Frame) -> str:
+        node = self.nodes[node_id]
         delivered = self.channel.resolve(strobe)
-        self._charge(node, RadioState.LISTEN, strobe.start_s)
+        self._charge(node, RadioState.LISTEN, strobe.start)
         self._charge(node, RadioState.TX, now)
-        node.strobe_tx_s += now - strobe.start_s
+        node.strobe_tx += now - strobe.start
         node.strobe_count += 1
         if node.mode is not NodeMode.STROBE_SENDING:
             raise SimulationIntegrityError(
@@ -543,7 +534,7 @@ class _Simulation:
             ea = Frame(0, node.node_id, FrameKind.EARLY_ACK,
                        now, now + self.early_ack_air)
             self.channel.register(ea)
-            self._push(ea.end_s, 0, EventKind.EARLY_ACK_TX_END, frame=ea)
+            self._push(ea.end, 0, EventKind.EARLY_ACK_TX_END, ea)
 
         if ea is not None:
             node.mode = NodeMode.AWAIT_EARLY_ACK
@@ -555,7 +546,7 @@ class _Simulation:
         self._continue_strobing(now, node)
         return "delivered" if delivered else "collided"
 
-    def _continue_strobing(self, now: float, node: _Node) -> None:
+    def _continue_strobing(self, now: int, node: _Node) -> None:
         """Register the next strobe; while nothing on the schedule can react,
         charge whole strobe cycles in bulk instead of simulating each.
 
@@ -568,7 +559,7 @@ class _Simulation:
         part of the pattern the backoff replay reads."""
         next_start = now + self.ea_wait
         if self.channel.activity_overlapping(next_start, next_start + self.strobe_air):
-            node.timer_gen += 1
+            node.timeout_at = None
             node.timed_out = False
             self._start_backoff(now, node)
             return
@@ -576,25 +567,23 @@ class _Simulation:
                        next_start, next_start + self.strobe_air)
         self.channel.register(strobe)
         shift = self._train_jump(now, node) * self.strobe_cycle
-        strobe.start_s += shift
-        strobe.end_s += shift
-        self._push(strobe.end_s, node.node_id, EventKind.STROBE_TX_END, frame=strobe)
+        strobe.start += shift
+        strobe.end += shift
+        self._push(strobe.end, node.node_id, EventKind.STROBE_TX_END, strobe)
 
-    def _next_fixed_event_s(self) -> float:
+    def _next_fixed_event(self) -> int:
         """Earliest moment the steady strobing regime can change from the
         outside: a poll, a packet arrival, a strobe timeout, or a
         polling-adaptation boundary. Backoff expiries are not in this set;
         _replay_backoffs finds the first one that can change the regime."""
-        t = self.next_poll_s
-        if self.generated < len(self.arrival_times):
-            next_arrival = self.arrival_times[self.generated]
-            if next_arrival < t:
-                t = next_arrival
-        if self.next_cycle_s < t:
-            t = self.next_cycle_s
+        t = self.next_poll
+        if self.generated < len(self.arrival_ticks):
+            t = min(t, self.arrival_ticks[self.generated])
+        if self.next_cycle is not None:
+            t = min(t, self.next_cycle)
         for other in self.nodes[1:]:
-            if other.mode is NodeMode.STROBE_SENDING and other.timeout_at_s < t:
-                t = other.timeout_at_s
+            if other.mode is NodeMode.STROBE_SENDING:
+                t = min(t, other.timeout_at)
         return t
 
     def _steady_trains(self) -> bool:
@@ -611,21 +600,19 @@ class _Simulation:
                 return False
         return True
 
-    def _strobe_pattern_busy(self, start_s: float, end_s: float) -> bool:
-        """Whether some strobe train occupies part of [start_s, end_s).
+    def _strobe_pattern_busy(self, start: int, end: int) -> bool:
+        """Whether some strobe train occupies part of [start, end).
         Works from each train's phase, not the registry, so it stays valid
         at any time inside the steady window: past the registered horizon
         and while frames sit jumped ahead of their physical position."""
-        width = end_s - start_s
+        width = end - start
         for frame in self.channel._active:
-            offset = math.fmod(start_s - frame.start_s, self.strobe_cycle)
-            if offset < 0.0:
-                offset += self.strobe_cycle
+            offset = (start - frame.start) % self.strobe_cycle
             if offset < self.strobe_air or offset > self.strobe_cycle - width:
                 return True
         return False
 
-    def _replay_backoffs(self, horizon: float) -> float:
+    def _replay_backoffs(self, horizon: int) -> int:
         """Where the steady regime ends: the first backoff attempt, over all
         nodes in backoff and in time order, that could find the channel
         clear, or `horizon` if that comes first. Each earlier attempt is one
@@ -633,10 +620,10 @@ class _Simulation:
         handler runs it: a slot of listening, then a backoff drawn from the
         node's own substream. A replayed node is charged once and gets one
         new expiry event; the ones it supersedes are dropped when due."""
-        attempts = [(n.backoff_until_s, n.node_id) for n in self.nodes[1:]
+        attempts = [(n.backoff_until, n.node_id) for n in self.nodes[1:]
                     if n.mode is NodeMode.BACKOFF]
         heapq.heapify(attempts)
-        replayed: dict[int, tuple[int, float]] = {}  # node -> (count, last CCA end)
+        replayed: dict[int, tuple[int, int]] = {}  # node -> (count, last CCA end)
         end = horizon
         while attempts:
             t, node_id = attempts[0]
@@ -647,22 +634,22 @@ class _Simulation:
             node = self.nodes[node_id]
             count = replayed[node_id][0] + 1 if node_id in replayed else 1
             replayed[node_id] = (count, cca_end)
-            node.backoff_until_s = t + self._draw_backoff_slots(node) * self.slot
-            heapq.heapreplace(attempts, (node.backoff_until_s, node_id))
+            node.backoff_until = t + self._draw_backoff_slots(node) * self.slot
+            heapq.heapreplace(attempts, (node.backoff_until, node_id))
         for node_id, (count, cca_end) in replayed.items():
             node = self.nodes[node_id]
             listen = count * self.slot
             asleep = cca_end - node.radio_since - listen
-            if asleep < -_AUDIT_TOL_S:
+            if asleep < 0:
                 raise SimulationIntegrityError(
-                    f"node {node_id}: replayed sleep of {asleep} s")
-            node.residency[RadioState.SLEEP].add(asleep)
-            node.residency[RadioState.LISTEN].add(listen)
+                    f"node {node_id}: replayed sleep of {asleep} ticks")
+            node.residency[RadioState.SLEEP] += asleep
+            node.residency[RadioState.LISTEN] += listen
             node.radio_since = cca_end
-            self._push(node.backoff_until_s, node_id, EventKind.BACKOFF_EXPIRED)
+            self._push(node.backoff_until, node_id, EventKind.BACKOFF_EXPIRED)
         return end
 
-    def _train_jump(self, now: float, node: _Node) -> int:
+    def _train_jump(self, now: int, node: _Node) -> int:
         """Whole strobe cycles of the node's train, from `now`, that end
         before the steady regime does; they are charged here in bulk and
         the caller moves the just-registered strobe ahead by as many. No
@@ -671,23 +658,21 @@ class _Simulation:
         registry is exact again whenever the regime ends."""
         if not self._steady_trains():
             return 0
-        horizon = self._next_fixed_event_s()
-        if int((horizon - now) / self.strobe_cycle) < 2:
+        horizon = self._next_fixed_event()
+        if (horizon - now) // self.strobe_cycle < 2:
             return 0  # no jump fits, so the replay would be wasted work
-        cycles = int((self._replay_backoffs(horizon) - now) / self.strobe_cycle) - 1
+        cycles = (self._replay_backoffs(horizon) - now) // self.strobe_cycle - 1
         if cycles < 1:
             return 0
         mid = node.radio_since + cycles * self.ea_wait
         self._charge(node, RadioState.LISTEN, mid)
         self._charge(node, RadioState.TX, mid + cycles * self.strobe_air)
-        node.strobe_tx_s += cycles * self.strobe_air
+        node.strobe_tx += cycles * self.strobe_air
         node.strobe_count += cycles
         return cycles
 
-    def _on_early_ack_tx_end(self, ev: Event) -> str:
+    def _on_early_ack_tx_end(self, now: int, node_id: int, ea: Frame) -> str:
         sink = self.sink
-        ea = ev.frame
-        now = ev.time_s
         delivered = self.channel.resolve(ea)
         self._settle(sink, now)
         sink.radio = RadioState.LISTEN
@@ -703,42 +688,36 @@ class _Simulation:
                 return "garbled, retry"
             if self.channel.activity_overlapping(now, now + self.strobe_air):
                 # whatever garbled the answer is still on the air
-                target.timer_gen += 1
+                target.timeout_at = None
                 self._start_backoff(now, target)
                 return "garbled, deferring"
             target.mode = NodeMode.STROBE_SENDING
             strobe = Frame(target.node_id, 0, FrameKind.STROBE,
                            now, now + self.strobe_air)
             self.channel.register(strobe)
-            self._push(strobe.end_s, target.node_id,
-                       EventKind.STROBE_TX_END, frame=strobe)
+            self._push(strobe.end, target.node_id, EventKind.STROBE_TX_END, strobe)
             return "garbled, strobing on"
         # answer heard: the whole early ACK was reception, then data goes out
         target.timed_out = False
-        self._charge(target, RadioState.LISTEN, ea.start_s)
+        self._charge(target, RadioState.LISTEN, ea.start)
         self._charge(target, RadioState.RX, now)
         n_packets = min(len(target.queue), self.cfg.frames.max_concat)
         payload = tuple(islice(target.queue, n_packets))
-        size = self.cfg.frames.superpacket_bytes(n_packets)
         data = Frame(target.node_id, 0, FrameKind.DATA,
-                     now, now + airtime(size, self.cfg.bit_rate_bps), payload)
+                     now, now + self.data_air[n_packets], payload)
         self.channel.register(data)
-        self._push(data.end_s, target.node_id, EventKind.DATA_TX_END, frame=data)
+        self._push(data.end, target.node_id, EventKind.DATA_TX_END, data)
         target.mode = NodeMode.DATA_SENDING
         target.radio = RadioState.TX
         if target.head_sent:
             self.retransmissions += 1
         target.head_sent = True
-        target.timer_gen += 1
-        target.timeout_at_s = data.end_s + self.block_ack_air + 2.0 * self.slot
-        self._push(target.timeout_at_s, target.node_id, EventKind.STROBE_TIMEOUT,
-                   gen=target.timer_gen)
+        target.timeout_at = data.end + self.block_ack_air + 2 * self.slot
+        self._push(target.timeout_at, target.node_id, EventKind.STROBE_TIMEOUT)
         return f"data x{n_packets}"
 
-    def _on_data_tx_end(self, ev: Event) -> str:
-        node = self.nodes[ev.node_id]
-        data = ev.frame
-        now = ev.time_s
+    def _on_data_tx_end(self, now: int, node_id: int, data: Frame) -> str:
+        node = self.nodes[node_id]
         delivered = self.channel.resolve(data)
         self._settle(node, now)
         node.mode = NodeMode.AWAIT_BLOCK_ACK
@@ -749,7 +728,7 @@ class _Simulation:
         if sink.mode is not NodeMode.RX_PENDING:
             raise SimulationIntegrityError(
                 f"clean data frame with the sink in mode {sink.mode}")
-        self._charge(sink, RadioState.LISTEN, data.start_s)
+        self._charge(sink, RadioState.LISTEN, data.start)
         self._charge(sink, RadioState.RX, now)
         fresh = 0
         for packet in data.packets:
@@ -757,8 +736,8 @@ class _Simulation:
             if key in self.received:
                 continue
             self.received.add(key)
-            self.delays.append(now - packet.created_s)
-            self.cv_window.add(packet.created_s)
+            self.delays.append(now - packet.created)
+            self.cv_window.add(packet.created / TICKS_PER_S)
             self.delivered += 1
             self.pending -= 1
             fresh += 1
@@ -767,14 +746,12 @@ class _Simulation:
         ack = Frame(0, node.node_id, FrameKind.BLOCK_ACK,
                     now, now + self.block_ack_air, data.packets)
         self.channel.register(ack)
-        self._push(ack.end_s, 0, EventKind.ACK_TX_END, frame=ack)
+        self._push(ack.end, 0, EventKind.ACK_TX_END, ack)
         sink.radio = RadioState.TX
         return f"received x{k} ({fresh} new)"
 
-    def _on_ack_tx_end(self, ev: Event) -> str:
+    def _on_ack_tx_end(self, now: int, node_id: int, ack: Frame) -> str:
         sink = self.sink
-        ack = ev.frame
-        now = ev.time_s
         delivered = self.channel.resolve(ack)
         self._settle(sink, now)
         sink.mode = NodeMode.SLEEP
@@ -783,14 +760,14 @@ class _Simulation:
         target = self.nodes[ack.target]
         if not delivered or target.mode is not NodeMode.AWAIT_BLOCK_ACK:
             return "lost"
-        self._charge(target, RadioState.LISTEN, ack.start_s)
+        self._charge(target, RadioState.LISTEN, ack.start)
         self._charge(target, RadioState.RX, now)
         for _ in ack.packets:
             target.queue.popleft()
         target.retry_count = 0
         target.head_sent = False
         target.timed_out = False
-        target.timer_gen += 1
+        target.timeout_at = None
         if target.queue:
             self._begin_access(now, target)
         else:
@@ -798,26 +775,25 @@ class _Simulation:
             target.radio = RadioState.SLEEP
         return f"confirmed x{len(ack.packets)}"
 
-    def _on_backoff_expired(self, ev: Event) -> str:
-        node = self.nodes[ev.node_id]
+    def _on_backoff_expired(self, now: int, node_id: int, item: None) -> str:
+        node = self.nodes[node_id]
         if node.mode is not NodeMode.BACKOFF:
             raise SimulationIntegrityError(
                 f"backoff expiry for node {node.node_id} in mode {node.mode}")
-        now = ev.time_s
-        if now != node.backoff_until_s:
+        if now != node.backoff_until:
             return "superseded"
         if self._steady_trains() and self._strobe_pattern_busy(now, now + self.slot):
             # assessments that cannot succeed are replayed instead of paying
             # scheduler costs for each; a moved one is back on the heap
-            self._replay_backoffs(self._next_fixed_event_s())
-            if node.backoff_until_s != now:
+            self._replay_backoffs(self._next_fixed_event())
+            if node.backoff_until != now:
                 return "busy"
         self._begin_access(now, node)
         return "retrying" if node.retry_count else "accessing"
 
-    def _on_strobe_timeout(self, ev: Event) -> str:
-        node = self.nodes[ev.node_id]
-        if ev.gen != node.timer_gen:
+    def _on_strobe_timeout(self, now: int, node_id: int, item: None) -> str:
+        node = self.nodes[node_id]
+        if now != node.timeout_at:
             return "stale"
         if node.mode in (NodeMode.STROBE_SENDING, NodeMode.AWAIT_EARLY_ACK):
             # a frame is on the air or expected; fold the retry into the
@@ -825,12 +801,12 @@ class _Simulation:
             node.timed_out = True
             return "flagged"
         if node.mode is NodeMode.AWAIT_BLOCK_ACK:
-            self._enter_retry(ev.time_s, node)
+            self._enter_retry(now, node)
             return "no block ack"
         raise SimulationIntegrityError(
             f"live timer for node {node.node_id} in mode {node.mode}")
 
-    def _on_cycle_boundary(self, ev: Event) -> str:
+    def _on_cycle_boundary(self, now: int, node_id: int, item: None) -> str:
         estimate = cycle_cv(self.cv_window)
         detail = "uninformative"
         if estimate is not None:
@@ -841,12 +817,12 @@ class _Simulation:
             else:
                 self.det_selections += 1
             if choice is not self.current_polling:
-                self.switches.append((ev.time_s, self.current_polling, choice))
+                self.switches.append((now, self.current_polling, choice))
                 self.current_polling = choice
             detail = f"cv={estimate.cv:.3f} -> {choice.value}"
         self.cv_window.clear()
-        self.next_cycle_s = ev.time_s + self.cfg.cycle_duration_s
-        self._push(self.next_cycle_s, 0, EventKind.CYCLE_BOUNDARY)
+        self.next_cycle = now + self.cycle
+        self._push(self.next_cycle, 0, EventKind.CYCLE_BOUNDARY)
         return detail
 
     # -- main loop --------------------------------------------------------
@@ -875,28 +851,28 @@ class _Simulation:
         while self.heap:
             if not idle_run and self._finished():
                 break
-            if idle_run and self.heap[0].time_s > self.cfg.idle_horizon_s:
+            if idle_run and self.heap[0][0] > self.idle_horizon:
                 break
-            ev = heapq.heappop(self.heap)
-            if ev.time_s < self.now - _AUDIT_TOL_S:
+            tick, _, node_id, seq, kind, item = heapq.heappop(self.heap)
+            if tick < self.now:
                 raise SimulationIntegrityError(
-                    f"event at {ev.time_s} before current time {self.now}")
-            self.now = max(self.now, ev.time_s)
+                    f"event at tick {tick} before current tick {self.now}")
+            self.now = tick
             self.event_count += 1
             if self.event_count > self.cfg.max_events:
-                raise EventLimitError(
-                    f"exceeded {self.cfg.max_events} events at t={self.now}")
-            detail = self._HANDLERS[ev.kind](self, ev)
+                raise EventLimitError(f"exceeded {self.cfg.max_events} events "
+                                      f"at t={tick / TICKS_PER_S} s")
+            detail = self._HANDLERS[kind](self, tick, node_id, item)
             if self.trace is not None:
-                self.trace.writerow([repr(ev.time_s), ev.seq, ev.node_id,
-                                     ev.kind.value, detail])
+                self.trace.writerow([repr(tick / TICKS_PER_S), seq, node_id,
+                                     kind.value, detail])
         return self._build_result()
 
     def _build_result(self) -> LowLevelResult:
-        end_time = max([self.now, self.cfg.idle_horizon_s if self.expected == 0 else 0.0]
-                       + [n.radio_since for n in self.nodes])
+        end = max([self.now, self.idle_horizon if self.expected == 0 else 0]
+                  + [n.radio_since for n in self.nodes])
         for node in self.nodes:
-            self._settle(node, end_time)
+            self._settle(node, end)
 
         power = {RadioState.TX: self.cfg.radio.tx_mW,
                  RadioState.RX: self.cfg.radio.rx_mW,
@@ -905,14 +881,14 @@ class _Simulation:
         per_node_time: dict[int, float] = {}
         per_node_energy: dict[int, float] = {}
         for node in self.nodes:
-            spans = {state: acc.value for state, acc in node.residency.items()}
-            total = math.fsum(spans.values())
-            if abs(total - end_time) > _AUDIT_TOL_S:
+            total = sum(node.residency.values())
+            if total != end:
                 raise SimulationIntegrityError(
-                    f"node {node.node_id} accounts for {total} s of {end_time} s")
-            per_node_time[node.node_id] = total
+                    f"node {node.node_id} accounts for {total} of {end} ticks")
+            per_node_time[node.node_id] = total / TICKS_PER_S
             per_node_energy[node.node_id] = math.fsum(
-                spans[state] * power[state] for state in RadioState)
+                ticks * power[state] for state, ticks in node.residency.items()
+            ) / TICKS_PER_S
 
         if not (self.delivered + self.dropped == self.generated == self.expected
                 or self.expected == 0):
@@ -922,20 +898,23 @@ class _Simulation:
 
         return LowLevelResult(
             total_energy_mJ=math.fsum(per_node_energy.values()),
-            mean_delay_s=(sum(self.delays) / len(self.delays)) if self.delays else 0.0,
+            mean_delay_s=(sum(self.delays) / (len(self.delays) * TICKS_PER_S)
+                          if self.delays else 0.0),
             generated=self.generated,
             delivered=self.delivered,
             dropped=self.dropped,
             collisions=self.channel.collision_count,
             retransmissions=self.retransmissions,
-            duration_s=end_time,
+            duration_s=end / TICKS_PER_S,
             poll_count=self.poll_count,
             strobe_count=sum(n.strobe_count for n in self.nodes),
-            strobe_energy_mJ=sum(n.strobe_tx_s for n in self.nodes) * self.cfg.radio.tx_mW,
+            strobe_energy_mJ=(sum(n.strobe_tx for n in self.nodes)
+                              * self.cfg.radio.tx_mW / TICKS_PER_S),
             superpacket_size_histogram=dict(sorted(self.superpacket_sizes.items())),
             per_node_time_s=per_node_time,
             per_node_energy_mJ=per_node_energy,
-            polling_switches=tuple(self.switches),
+            polling_switches=tuple((tick / TICKS_PER_S, old, new)
+                                   for tick, old, new in self.switches),
             informative_cycles=self.informative_cycles,
             deterministic_selections=self.det_selections,
             exponential_selections=self.exp_selections,

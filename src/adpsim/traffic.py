@@ -3,6 +3,7 @@ Cv window the sink uses to classify incoming traffic."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ class ArrivalTimeline:
 
     def __post_init__(self) -> None:
         ts = self.timestamps_s
+        if not all(map(math.isfinite, ts)):
+            raise ParameterError("timestamps must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ParameterError("timestamps must be strictly increasing")
         if ts and ts[0] <= 0:
@@ -181,9 +184,12 @@ def load_timelines(path, model: ArrivalModel) -> list[ArrivalTimeline]:
         if header != ["node_id", "timestamp_s"]:
             raise ParameterError(f"unexpected header {header!r}")
         for row in reader:
-            if len(row) != 2:
-                raise ParameterError(f"bad row {row!r}")
-            per_node.setdefault(int(row[0]), []).append(float(row[1]))
+            try:
+                node_id, t = row
+                per_node.setdefault(int(node_id), []).append(float(t))
+            except ValueError:
+                raise ParameterError(
+                    f"bad row {row!r} on line {reader.line_num}") from None
     return [
         ArrivalTimeline(node_id=nid, model=model, timestamps_s=tuple(sorted(ts)))
         for nid, ts in sorted(per_node.items())

@@ -42,7 +42,7 @@ def checked_low(config, seed, timelines=None, trace=None):
     res = run_low_level(config, seed, timelines=timelines, trace=trace)
     assert res.generated == res.delivered + res.dropped, "packet conservation"
     for node_id, t in res.per_node_time_s.items():
-        assert abs(t - res.duration_s) <= 1e-9, f"node {node_id} time closure"
+        assert t == res.duration_s, f"node {node_id} time closure"
     assert sum(res.per_node_energy_mJ.values()) == pytest.approx(
         res.total_energy_mJ, rel=1e-9, abs=1e-9), "energy decomposition"
     assert 0.0 <= res.strobe_energy_mJ <= res.total_energy_mJ * (1 + 1e-12)

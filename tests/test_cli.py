@@ -500,7 +500,7 @@ def _sweep_digest(tmp_path, *args) -> str:
 def test_default_sweep_csv_is_byte_stable(tmp_path):
     # default config on a two-interval grid, one radio run per cell: 140 rows
     assert _sweep_digest(tmp_path, "--grid", "1 2", "--runs", "1") == (
-        "1d99a85617c9ea9a137706b3b42eadde40a6b8b3775cdf6717846d24df8a3dc7")
+        "285f3461bf8198c978882a488aec703ea124fd15a971c661f9607a91569c1b2b")
 
 
 def test_every_ini_key_reaches_the_sweep(tmp_path):
@@ -509,7 +509,7 @@ def test_every_ini_key_reaches_the_sweep(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(_EVERY_KEY_INI)
     assert _sweep_digest(tmp_path, "--config", str(ini)) == (
-        "80ad77ba77a87ad4ca4eda88aa786c5addc35ce3c6dcd2a4b89c754e6981aa73")
+        "7f4bf3fc6597f91fc03561f766b97d1e16ee6586637b45908f263a227463f918")
 
 
 def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
@@ -531,4 +531,4 @@ def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
     assert exp.energy.energy_per_byte_mJ == 0.25
     assert exp.radio.tx_mW == 60.0
     assert _sweep_digest(tmp_path, "--config", str(ini)) == (
-        "3701386de90e8dff9efb6a1d8b6e49c05848847107d1b8377cb47bbd93b1c503")
+        "96380a38c902be771daef0c0fe6f87a95b1f3524c50ecb79608a0231c965611b")

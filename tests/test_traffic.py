@@ -79,6 +79,11 @@ def test_timeline_validation():
         ArrivalTimeline(1, CBR5, (2.0, 2.0))
     with pytest.raises(ParameterError):
         ArrivalTimeline(1, CBR5, (0.0, 2.0))
+    # nan compares false both ways, so only a finiteness check catches it;
+    # an inf arrival would keep the radio model polling until its event cap
+    for bad in ((float("nan"),), (1.0, float("nan"), 3.0), (1.0, float("inf"))):
+        with pytest.raises(ParameterError, match="finite"):
+            ArrivalTimeline(1, CBR5, bad)
 
 
 def test_cycle_cv_informative_window():
@@ -127,5 +132,13 @@ def test_timelines_roundtrip(tmp_path):
 def test_load_timelines_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("node,when\n1,2.0\n")
+    with pytest.raises(ParameterError):
+        load_timelines(path, CBR5)
+
+
+@pytest.mark.parametrize("row", ["1,soon", "one,2.0", "1,2.0,3.0", "1", "1,nan"])
+def test_load_timelines_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"node_id,timestamp_s\n1,1.0\n{row}\n")
     with pytest.raises(ParameterError):
         load_timelines(path, CBR5)
