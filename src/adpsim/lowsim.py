@@ -12,13 +12,14 @@ variation of the packet generation gaps it observed during the last cycle.
 Time is an integer count of nanosecond ticks. Every duration and arrival
 instant is rounded to ticks once, when the simulation is set up, so sums of
 times are exact and two events due at the same instant share one tick. Such
-events run in the order of a fixed rank per event kind (_RANK), then node
-id, then push order; the results report seconds.
+events run in the order of a fixed rank per event kind (EventKind.rank),
+then node id, then push order; the results report seconds.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,10 +72,15 @@ class NodeMode(Enum):
 
 
 class RadioState(Enum):
-    TX = "tx"
-    RX = "rx"
-    LISTEN = "listen"
-    SLEEP = "sleep"
+    """A radio's draw state; `index` is its place in a node's residency list."""
+
+    TX = 0
+    RX = 1
+    LISTEN = 2
+    SLEEP = 3
+
+    def __init__(self, index: int) -> None:
+        self.index = index
 
 
 class FrameKind(Enum):
@@ -85,36 +91,33 @@ class FrameKind(Enum):
 
 
 class EventKind(Enum):
-    PACKET_GENERATED = "packet_generated"
-    POLL_START = "poll_start"
-    STROBE_TX_END = "strobe_tx_end"
-    EARLY_ACK_TX_END = "early_ack_tx_end"
-    DATA_TX_END = "data_tx_end"
-    ACK_TX_END = "ack_tx_end"
-    BACKOFF_EXPIRED = "backoff_expired"
-    STROBE_TIMEOUT = "strobe_timeout"
-    CYCLE_BOUNDARY = "cycle_boundary"
+    """An event: `handler` names the _Simulation method that runs it, and
+    `rank` orders the events due at the same tick, lowest first.
 
+    Ranks: a cycle is [start, end), so what happens on its end tick is the
+    next cycle's (0). A frame is on the air over [start, end), as Channel
+    counts overlap, so it is gone for anything that starts on its end tick
+    (1). A frame that ends on its sender's deadline tick finished in time
+    (2). Channel assessments and polls sense the air after every frame
+    change on their tick; none registers a frame that starts on it, so
+    their mutual order cannot change what any of them senses (3)."""
 
-# Order of events due at the same tick, lowest first.
-_RANK = {
-    # a cycle is [start, end): what happens on its end tick is the next cycle's
-    EventKind.CYCLE_BOUNDARY: 0,
-    # a frame is on the air over [start, end), as Channel counts overlap:
-    # it is gone for anything that starts on its end tick
-    EventKind.STROBE_TX_END: 1,
-    EventKind.EARLY_ACK_TX_END: 1,
-    EventKind.DATA_TX_END: 1,
-    EventKind.ACK_TX_END: 1,
-    # a frame that ends on its sender's deadline tick finished in time
-    EventKind.STROBE_TIMEOUT: 2,
-    # channel assessments and polls sense the air after every frame change on
-    # their tick; none registers a frame that starts on it, so their mutual
-    # order cannot change what any of them senses
-    EventKind.PACKET_GENERATED: 3,
-    EventKind.POLL_START: 3,
-    EventKind.BACKOFF_EXPIRED: 3,
-}
+    def __new__(cls, value: str, rank: int) -> EventKind:
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.rank = rank
+        kind.handler = "_on_" + value
+        return kind
+
+    PACKET_GENERATED = "packet_generated", 3
+    POLL_START = "poll_start", 3
+    STROBE_TX_END = "strobe_tx_end", 1
+    EARLY_ACK_TX_END = "early_ack_tx_end", 1
+    DATA_TX_END = "data_tx_end", 1
+    ACK_TX_END = "ack_tx_end", 1
+    BACKOFF_EXPIRED = "backoff_expired", 3
+    STROBE_TIMEOUT = "strobe_timeout", 2
+    CYCLE_BOUNDARY = "cycle_boundary", 0
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ class _Node:
     mode: NodeMode = NodeMode.SLEEP
     radio: RadioState = RadioState.SLEEP
     radio_since: int = 0
-    residency: dict = field(default_factory=lambda: dict.fromkeys(RadioState, 0))
+    residency: list = field(default_factory=lambda: [0] * len(RadioState))
     queue: deque = field(default_factory=deque)
     retry_count: int = 0
     head_sent: bool = False
@@ -369,14 +372,14 @@ class _Simulation:
     def _push(self, tick: int, node_id: int, kind: EventKind,
               item: Frame | Packet | None = None) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (tick, _RANK[kind], node_id, self.seq, kind, item))
+        heapq.heappush(self.heap, (tick, kind.rank, node_id, self.seq, kind, item))
 
     def _charge(self, node: _Node, state: RadioState, until: int) -> None:
         span = until - node.radio_since
         if span < 0:
             raise SimulationIntegrityError(
                 f"node {node.node_id}: charge of {span} ticks ends before it starts")
-        node.residency[state] += span
+        node.residency[state.index] += span
         node.radio_since = until
 
     def _settle(self, node: _Node, now: int) -> None:
@@ -417,7 +420,8 @@ class _Simulation:
         `draw_cursor` values are the ones handed out. When the window
         changes with values still unused, restoring that state and drawing
         `draw_cursor` values of the old window leaves the generator where
-        the scalar draws would have, and the next block starts there."""
+        the scalar draws would have, and the next block starts there. The
+        backoff replay reads a block straight and calls this at its end."""
         window = min(self.cfg.mac.initial_backoff_slots << node.retry_count,
                      self.cfg.mac.backoff_cap_slots)
         cursor = node.draw_cursor
@@ -581,9 +585,10 @@ class _Simulation:
             t = min(t, self.arrival_ticks[self.generated])
         if self.next_cycle is not None:
             t = min(t, self.next_cycle)
+        strobing = NodeMode.STROBE_SENDING  # one member lookup, not one per node
         for other in self.nodes[1:]:
-            if other.mode is NodeMode.STROBE_SENDING:
-                t = min(t, other.timeout_at)
+            if other.mode is strobing and other.timeout_at < t:
+                t = other.timeout_at
         return t
 
     def _steady_trains(self) -> bool:
@@ -592,62 +597,121 @@ class _Simulation:
         have not timed out. Both fast paths run only inside it."""
         if self.sink.mode is not NodeMode.SLEEP:
             return False
+        strobe, strobing = FrameKind.STROBE, NodeMode.STROBE_SENDING
         for frame in self.channel._active:
-            if frame.collided or frame.kind is not FrameKind.STROBE:
+            if frame.collided or frame.kind is not strobe:
                 return False
             owner = self.nodes[frame.sender]
-            if owner.mode is not NodeMode.STROBE_SENDING or owner.timed_out:
+            if owner.mode is not strobing or owner.timed_out:
                 return False
         return True
 
-    def _strobe_pattern_busy(self, start: int, end: int) -> bool:
-        """Whether some strobe train occupies part of [start, end).
-        Works from each train's phase, not the registry, so it stays valid
-        at any time inside the steady window: past the registered horizon
-        and while frames sit jumped ahead of their physical position."""
-        width = end - start
-        for frame in self.channel._active:
-            offset = (start - frame.start) % self.strobe_cycle
-            if offset < self.strobe_air or offset > self.strobe_cycle - width:
-                return True
-        return False
-
     def _replay_backoffs(self, horizon: int) -> int:
         """Where the steady regime ends: the first backoff attempt, over all
-        nodes in backoff and in time order, that could find the channel
-        clear, or `horizon` if that comes first. Each earlier attempt is one
-        the strobe pattern shows busy and is replayed as the step-by-step
-        handler runs it: a slot of listening, then a backoff drawn from the
-        node's own substream. A replayed node is charged once and gets one
-        new expiry event; the ones it supersedes are dropped when due."""
-        attempts = [(n.backoff_until, n.node_id) for n in self.nodes[1:]
-                    if n.mode is NodeMode.BACKOFF]
-        heapq.heapify(attempts)
-        replayed: dict[int, tuple[int, int]] = {}  # node -> (count, last CCA end)
-        end = horizon
-        while attempts:
-            t, node_id = attempts[0]
-            cca_end = t + self.slot
-            if cca_end > horizon or not self._strobe_pattern_busy(t, cca_end):
-                end = min(t, horizon)
-                break
-            node = self.nodes[node_id]
-            count = replayed[node_id][0] + 1 if node_id in replayed else 1
-            replayed[node_id] = (count, cca_end)
-            node.backoff_until = t + self._draw_backoff_slots(node) * self.slot
-            heapq.heapreplace(attempts, (node.backoff_until, node_id))
-        for node_id, (count, cca_end) in replayed.items():
-            node = self.nodes[node_id]
-            listen = count * self.slot
+        nodes in backoff, that could find the channel clear or would end
+        past `horizon`; `horizon` if that comes first. Every earlier attempt
+        is one the strobe trains make busy, and it is replayed as the
+        step-by-step handler runs it: a slot of listening, then a backoff
+        drawn from the node's own substream.
+
+        Each train's busy arc is worked out once per call. Every train has
+        the period strobe_cycle, so the CCA slot [t, t + slot) overlaps the
+        train of a strobe that starts at s exactly when
+        (t - a) % strobe_cycle < strobe_air + slot - 1, with a = s - slot + 1.
+        That holds anywhere inside the steady regime: past the registered
+        horizon, and while frames sit jumped ahead of their position. So
+        whether an attempt stops the regime depends on its tick alone, and
+        the regime ends on the earliest tick on which any node's does.
+
+        The nodes are walked one at a time, in the order of their next
+        attempt, each straight through its block of drawn slots. A walk ends
+        at the node's first attempt that stops the regime, or at its first
+        attempt at or past the earliest stop found so far. Each node then
+        keeps its attempts before the earliest stop: the ones a replay of
+        all nodes in time order makes. A walk that went past it hands its
+        unkept draws back, so the node's stream is as if they were never
+        made. A replayed node is charged once and gets one new expiry event,
+        in the order of its first replayed attempt; the expiries it
+        supersedes are dropped when due."""
+        nodes = self.nodes
+        backoff = NodeMode.BACKOFF
+        attempts = sorted([(n.backoff_until, n.node_id) for n in nodes[1:]
+                           if n.mode is backoff])
+        slot = self.slot
+        period = self.strobe_cycle
+        width = self.strobe_air + slot - 1
+        arcs = [(f.start - slot + 1) % period for f in self.channel._active]
+        last = horizon - slot  # the last attempt that ends inside the horizon
+        stop = math.inf  # the earliest stopping tick found so far
+        times: list[int] = []  # the replayed attempts of one walk after another
+        replay = times.append
+        walks = []
+        for t, node_id in attempts:
+            if t >= stop:
+                break  # and so is every later node's first attempt
+            node = nodes[node_id]
+            lo = len(times)
+            # the node drew its pending slots with its current window, and
+            # retry_count does not change in backoff: only a block end needs
+            # _draw_backoff_slots
+            block = node.draw_block
+            cursor = start = node.draw_cursor
+            crossings = ()  # (draw, block, state and generator state before it)
+            while t < stop:
+                if t > last:
+                    stop = t
+                    break
+                for a in arcs:
+                    if (t - a) % period < width:
+                        break
+                else:
+                    stop = t
+                    break
+                replay(t)
+                if cursor < len(block):
+                    slots = block[cursor]
+                    cursor += 1
+                else:
+                    rng_state = self.backoff_rng[node_id].bit_generator.state
+                    crossings += ((len(times) - 1 - lo, node.draw_block,
+                                   node.draw_state, rng_state),)
+                    node.draw_cursor = cursor
+                    slots = self._draw_backoff_slots(node)
+                    block = node.draw_block
+                    cursor = node.draw_cursor
+                t += slots * slot
+            if len(times) > lo:
+                node.draw_cursor = cursor
+                walks.append((node, lo, len(times), t, start, crossings))
+
+        for node, lo, hi, next_t, start, crossings in walks:
+            kept = bisect_left(times, stop, lo, hi) - lo
+            if kept < hi - lo:
+                # hand back the unkept draws: the block and states before
+                # the first unkept block crossing, at the kept draws' cursor
+                next_t = times[lo + kept]
+                cursor = start + kept
+                for draw, *fields in crossings:
+                    if draw >= kept:
+                        node.draw_block, node.draw_state, state = fields
+                        self.backoff_rng[node.node_id].bit_generator.state = state
+                        break
+                    cursor = kept - draw
+                node.draw_cursor = cursor
+                if not kept:
+                    continue
+            cca_end = times[lo + kept - 1] + slot
+            listen = kept * slot
             asleep = cca_end - node.radio_since - listen
             if asleep < 0:
                 raise SimulationIntegrityError(
-                    f"node {node_id}: replayed sleep of {asleep} ticks")
-            node.residency[RadioState.SLEEP] += asleep
-            node.residency[RadioState.LISTEN] += listen
+                    f"node {node.node_id}: replayed sleep of {asleep} ticks")
+            node.residency[RadioState.SLEEP.index] += asleep
+            node.residency[RadioState.LISTEN.index] += listen
             node.radio_since = cca_end
-            self._push(node.backoff_until, node_id, EventKind.BACKOFF_EXPIRED)
-        return end
+            node.backoff_until = next_t
+            self._push(next_t, node.node_id, EventKind.BACKOFF_EXPIRED)
+        return min(stop, horizon)
 
     def _train_jump(self, now: int, node: _Node) -> int:
         """Whole strobe cycles of the node's train, from `now`, that end
@@ -782,9 +846,11 @@ class _Simulation:
                 f"backoff expiry for node {node.node_id} in mode {node.mode}")
         if now != node.backoff_until:
             return "superseded"
-        if self._steady_trains() and self._strobe_pattern_busy(now, now + self.slot):
-            # assessments that cannot succeed are replayed instead of paying
-            # scheduler costs for each; a moved one is back on the heap
+        if self._steady_trains():
+            # this is the earliest attempt of any node in backoff, so the
+            # replay stops on it at once if it could succeed; assessments that
+            # cannot are replayed instead of paying scheduler costs for each,
+            # and a moved one is back on the heap
             self._replay_backoffs(self._next_fixed_event())
             if node.backoff_until != now:
                 return "busy"
@@ -827,18 +893,6 @@ class _Simulation:
 
     # -- main loop --------------------------------------------------------
 
-    _HANDLERS = {
-        EventKind.PACKET_GENERATED: _on_packet_generated,
-        EventKind.POLL_START: _on_poll_start,
-        EventKind.STROBE_TX_END: _on_strobe_tx_end,
-        EventKind.EARLY_ACK_TX_END: _on_early_ack_tx_end,
-        EventKind.DATA_TX_END: _on_data_tx_end,
-        EventKind.ACK_TX_END: _on_ack_tx_end,
-        EventKind.BACKOFF_EXPIRED: _on_backoff_expired,
-        EventKind.STROBE_TIMEOUT: _on_strobe_timeout,
-        EventKind.CYCLE_BOUNDARY: _on_cycle_boundary,
-    }
-
     def _finished(self) -> bool:
         return (self.generated == self.expected
                 and self.pending == 0
@@ -862,7 +916,7 @@ class _Simulation:
             if self.event_count > self.cfg.max_events:
                 raise EventLimitError(f"exceeded {self.cfg.max_events} events "
                                       f"at t={tick / TICKS_PER_S} s")
-            detail = self._HANDLERS[kind](self, tick, node_id, item)
+            detail = getattr(self, kind.handler)(tick, node_id, item)
             if self.trace is not None:
                 self.trace.writerow([repr(tick / TICKS_PER_S), seq, node_id,
                                      kind.value, detail])
@@ -874,21 +928,19 @@ class _Simulation:
         for node in self.nodes:
             self._settle(node, end)
 
-        power = {RadioState.TX: self.cfg.radio.tx_mW,
-                 RadioState.RX: self.cfg.radio.rx_mW,
-                 RadioState.LISTEN: self.cfg.radio.listen_mW,
-                 RadioState.SLEEP: self.cfg.radio.sleep_mW}
+        radio = self.cfg.radio
+        # in RadioState.index order
+        power = (radio.tx_mW, radio.rx_mW, radio.listen_mW, radio.sleep_mW)
         per_node_time: dict[int, float] = {}
         per_node_energy: dict[int, float] = {}
         for node in self.nodes:
-            total = sum(node.residency.values())
+            total = sum(node.residency)
             if total != end:
                 raise SimulationIntegrityError(
                     f"node {node.node_id} accounts for {total} of {end} ticks")
             per_node_time[node.node_id] = total / TICKS_PER_S
             per_node_energy[node.node_id] = math.fsum(
-                ticks * power[state] for state, ticks in node.residency.items()
-            ) / TICKS_PER_S
+                ticks * mW for ticks, mW in zip(node.residency, power)) / TICKS_PER_S
 
         if not (self.delivered + self.dropped == self.generated == self.expected
                 or self.expected == 0):

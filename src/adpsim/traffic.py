@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ class ArrivalTimeline:
         ts = self.timestamps_s
         if not all(map(math.isfinite, ts)):
             raise ParameterError("timestamps must be finite")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(map(operator.ge, ts, ts[1:])):
             raise ParameterError("timestamps must be strictly increasing")
         if ts and ts[0] <= 0:
             raise ParameterError("timestamps must be > 0")

@@ -1,5 +1,7 @@
 """Radio-model behavior: hand-traced handshakes, energy closure, determinism,
 contention, retries, and the dynamic polling switch."""
+import copy
+import heapq
 from dataclasses import fields
 
 import pytest
@@ -16,11 +18,13 @@ from adpsim.core import (
     PollingKind,
 )
 from adpsim.lowsim import (
-    _RANK,
+    EventKind,
     LowLevelConfig,
     LowLevelResult,
     MacParams,
+    NodeMode,
     RadioPowerProfile,
+    RadioState,
     _Simulation,
     airtime,
     run_low_level,
@@ -179,7 +183,7 @@ def test_event_trace_is_monotone(tmp_path):
         def writerow(self, row):
             self.rows.append(list(row))
 
-    rank = {kind.value: r for kind, r in _RANK.items()}
+    rank = {kind.value: kind.rank for kind in EventKind}
     poisson = _config(arrival=ArrivalModel(ArrivalKind.POISSON, 5.0),
                       polling=PollingDistribution(PollingKind.EXPONENTIAL, 2.0),
                       node_count=4, packets_per_node=4)
@@ -364,3 +368,143 @@ def test_block_draws_match_scalar_draws(arrival, interval_s, max_retries,
     assert len(windows) > 1
     if max_retries == 1:
         assert blocked.dropped > 0
+
+
+# the saturated configs of test_block_draws_match_scalar_draws:
+# (arrival, exponential poll mean, max_retries), 10 nodes, 8 packets each, seed 2
+SATURATED = [
+    (ArrivalKind.CBR, 6.0, 5),
+    (ArrivalKind.POISSON, 10.0, 5),
+    (ArrivalKind.CBR, 6.0, 1),
+]
+
+
+def _saturated(arrival, interval_s, max_retries):
+    return _config(arrival=ArrivalModel(arrival, 50.0),
+                   polling=PollingDistribution(PollingKind.EXPONENTIAL, interval_s),
+                   node_count=10, packets_per_node=8,
+                   mac=MacParams(max_retries=max_retries))
+
+
+def _heap_replay(sim, horizon):
+    """The backoff replay as a heap with one (tick, node id) entry per node
+    in backoff, popped one attempt at a time, with the busy test worked out
+    from each strobe's offset. Nothing changes until the first attempt is
+    replayed, and from there on it works on a deep copy of `sim`. Returns
+    the regime end, whether another node's next attempt fell on the stop
+    tick, and the simulation as the replay leaves it."""
+
+    def busy(start, end):
+        width = end - start
+        for frame in sim.channel._active:
+            offset = (start - frame.start) % sim.strobe_cycle
+            if offset < sim.strobe_air or offset > sim.strobe_cycle - width:
+                return True
+        return False
+
+    attempts = [(n.backoff_until, n.node_id) for n in sim.nodes[1:]
+                if n.mode is NodeMode.BACKOFF]
+    heapq.heapify(attempts)
+    replayed = {}  # node -> (count, last CCA end)
+    end, tie = horizon, False
+    while attempts:
+        t, node_id = attempts[0]
+        cca_end = t + sim.slot
+        if cca_end > horizon or not busy(t, cca_end):
+            end = min(t, horizon)
+            tie = sum(a == t for a, _ in attempts) > 1
+            break
+        if not replayed:
+            sim = copy.deepcopy(sim)
+        node = sim.nodes[node_id]
+        count = replayed[node_id][0] + 1 if node_id in replayed else 1
+        replayed[node_id] = (count, cca_end)
+        node.backoff_until = t + sim._draw_backoff_slots(node) * sim.slot
+        heapq.heapreplace(attempts, (node.backoff_until, node_id))
+    for node_id, (count, cca_end) in replayed.items():
+        node = sim.nodes[node_id]
+        listen = count * sim.slot
+        node.residency[RadioState.SLEEP.index] += cca_end - node.radio_since - listen
+        node.residency[RadioState.LISTEN.index] += listen
+        node.radio_since = cca_end
+        sim._push(node.backoff_until, node_id, EventKind.BACKOFF_EXPIRED)
+    return end, tie, sim
+
+
+def _replay_state(sim):
+    """Everything a backoff replay may change."""
+    nodes = [(n.backoff_until, n.radio_since, list(n.residency), n.draw_window,
+              n.draw_cursor, list(n.draw_block), n.draw_state,
+              sim.backoff_rng[n.node_id].bit_generator.state)
+             for n in sim.nodes[1:]]
+    return nodes, [entry[:5] for entry in sim.heap], sim.seq
+
+
+def test_backoff_walk_matches_heap_replay_per_call(monkeypatch):
+    """Each replay call walks one node at a time and truncates to the
+    earliest stop; a heap that pops one attempt at a time over all nodes is
+    the reference. Every call of the saturated configs and the every-key
+    cbr ones runs the reference on a copy of the simulation, and the walk
+    must leave the same end, draws, generators, residency and heap. The
+    every-key runs are there for their ties: two nodes whose next attempts
+    fall on the stop tick, which the node id must order."""
+    walk = _Simulation._replay_backoffs
+    calls = replaying = ties = 0
+
+    def checked(self, horizon):
+        nonlocal calls, replaying, ties
+        want, tie, twin = _heap_replay(self, horizon)
+        expected = _replay_state(twin)  # before the walk: twin may be self
+        assert walk(self, horizon) == want
+        assert _replay_state(self) == expected
+        calls += 1
+        replaying += twin is not self
+        ties += tie
+        return want
+
+    monkeypatch.setattr(_Simulation, "_replay_backoffs", checked)
+    for case in SATURATED:
+        run_low_level(_saturated(*case), 2)
+    for polling in (PollingKind.DETERMINISTIC, PollingKind.EXPONENTIAL):
+        run_low_level(_every_key_cbr(polling), EVERY_KEY_SEED)
+    assert replaying > 1000 and calls > replaying
+    assert ties > 0
+
+
+def test_backoff_walk_across_small_blocks(monkeypatch):
+    """With blocks of three slots, walks cross block ends all the time and
+    often have to hand draws of a new block back. The results must still
+    be the step-by-step model's (see test_fast_paths_match_step_by_step),
+    and some replay must have handed a whole new block back: drawn one for
+    a node and left the node with the block it had before."""
+    monkeypatch.setattr(lowsim, "_DRAW_BLOCK", 3)
+    walk = _Simulation._replay_backoffs
+    draw = _Simulation._draw_backoff_slots
+    drawn = None  # the nodes that drew during the current replay
+    handed_back = 0
+
+    def spy_draw(self, node):
+        if drawn is not None:
+            drawn.add(node)
+        return draw(self, node)
+
+    def spy_walk(self, horizon):
+        nonlocal drawn, handed_back
+        blocks = {node: node.draw_block for node in self.nodes}
+        drawn = set()
+        end = walk(self, horizon)
+        handed_back += any(node.draw_block is blocks[node] for node in drawn)
+        drawn = None
+        return end
+
+    configs = [_saturated(*case) for case in SATURATED[:2]]
+    monkeypatch.setattr(_Simulation, "_draw_backoff_slots", spy_draw)
+    monkeypatch.setattr(_Simulation, "_replay_backoffs", spy_walk)
+    fast = [run_low_level(config, 2) for config in configs]
+    assert handed_back > 0
+    monkeypatch.setattr(_Simulation, "_steady_trains", lambda self: None)
+    for config, result in zip(configs, fast):
+        step = run_low_level(config, 2)
+        for f in fields(LowLevelResult):
+            if f.name != "event_count":
+                assert getattr(result, f.name) == getattr(step, f.name), f.name
