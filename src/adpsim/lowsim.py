@@ -40,8 +40,9 @@ from .traffic import ArrivalTimeline, CvWindow, cycle_cv, generate_arrivals
 
 TICKS_PER_S = 1_000_000_000
 
-# Backoff slots are drawn this many at a time (see _draw_backoff_slots).
-_DRAW_BLOCK = 64
+# Backoff slots are drawn this many at a time (see _draw_backoff_slots): one
+# block draw costs about as much as reading 64 values from a list.
+_DRAW_BLOCK = 1024
 
 
 def _ticks(seconds: float) -> int:
@@ -118,6 +119,25 @@ class EventKind(Enum):
     BACKOFF_EXPIRED = "backoff_expired", 3
     STROBE_TIMEOUT = "strobe_timeout", 2
     CYCLE_BOUNDARY = "cycle_boundary", 0
+
+
+# Members the event path reads, bound once: a read through an Enum class goes
+# through EnumType.__getattr__ and costs about ten times a global's.
+_SLEEP, _POLLING, _RX_PENDING = NodeMode.SLEEP, NodeMode.POLLING, NodeMode.RX_PENDING
+_STROBE_SENDING, _AWAIT_EARLY_ACK = NodeMode.STROBE_SENDING, NodeMode.AWAIT_EARLY_ACK
+_DATA_SENDING, _AWAIT_BLOCK_ACK = NodeMode.DATA_SENDING, NodeMode.AWAIT_BLOCK_ACK
+_BACKOFF = NodeMode.BACKOFF
+_RADIO_TX, _RADIO_RX = RadioState.TX, RadioState.RX
+_RADIO_LISTEN, _RADIO_SLEEP = RadioState.LISTEN, RadioState.SLEEP
+_STROBE, _EARLY_ACK = FrameKind.STROBE, FrameKind.EARLY_ACK
+_DATA, _BLOCK_ACK = FrameKind.DATA, FrameKind.BLOCK_ACK
+_PACKET_GENERATED, _POLL_START = EventKind.PACKET_GENERATED, EventKind.POLL_START
+_STROBE_TX_END, _EARLY_ACK_TX_END = EventKind.STROBE_TX_END, EventKind.EARLY_ACK_TX_END
+_DATA_TX_END, _ACK_TX_END = EventKind.DATA_TX_END, EventKind.ACK_TX_END
+_BACKOFF_EXPIRED, _STROBE_TIMEOUT = EventKind.BACKOFF_EXPIRED, EventKind.STROBE_TIMEOUT
+_CYCLE_BOUNDARY = EventKind.CYCLE_BOUNDARY
+_DETERMINISTIC, _EXPONENTIAL = PollingKind.DETERMINISTIC, PollingKind.EXPONENTIAL
+_DYNAMIC = PollingKind.DYNAMIC
 
 
 @dataclass(frozen=True)
@@ -335,8 +355,8 @@ class _Simulation:
         self.cycle = _ticks(config.cycle_duration_s)
         self.idle_horizon = _ticks(config.idle_horizon_s)
 
-        self.current_polling = (PollingKind.DETERMINISTIC
-                                if config.polling.kind is PollingKind.DYNAMIC
+        self.current_polling = (_DETERMINISTIC
+                                if config.polling.kind is _DYNAMIC
                                 else config.polling.kind)
         self.cv_window = CvWindow(cycle_duration_s=config.cycle_duration_s)
         self.received: set[tuple[int, int]] = set()
@@ -360,12 +380,12 @@ class _Simulation:
         self.next_cycle: int | None = None
 
         for tick, node_id, i in arrivals:
-            self._push(tick, node_id, EventKind.PACKET_GENERATED,
+            self._push(tick, node_id, _PACKET_GENERATED,
                        Packet(node_id, i, tick))
         self._schedule_poll(0)
-        if config.polling.kind is PollingKind.DYNAMIC:
+        if config.polling.kind is _DYNAMIC:
             self.next_cycle = self.cycle
-            self._push(self.cycle, 0, EventKind.CYCLE_BOUNDARY)
+            self._push(self.cycle, 0, _CYCLE_BOUNDARY)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -393,19 +413,19 @@ class _Simulation:
         assessment window is detected."""
         self._settle(node, now)
         cca_end = now + self.slot
-        self._charge(node, RadioState.LISTEN, cca_end)
+        self._charge(node, _RADIO_LISTEN, cca_end)
         if self.channel.activity_overlapping(now, cca_end):
             self._start_backoff(now, node)
             return
-        node.mode = NodeMode.STROBE_SENDING
-        node.radio = RadioState.LISTEN
+        node.mode = _STROBE_SENDING
+        node.radio = _RADIO_LISTEN
         node.timed_out = False
-        strobe = Frame(node.node_id, 0, FrameKind.STROBE,
+        strobe = Frame(node.node_id, 0, _STROBE,
                        cca_end, cca_end + self.strobe_air)
         self.channel.register(strobe)
-        self._push(strobe.end, node.node_id, EventKind.STROBE_TX_END, strobe)
+        self._push(strobe.end, node.node_id, _STROBE_TX_END, strobe)
         node.timeout_at = cca_end + self.strobe_timeout
-        self._push(node.timeout_at, node.node_id, EventKind.STROBE_TIMEOUT)
+        self._push(node.timeout_at, node.node_id, _STROBE_TIMEOUT)
 
     def _draw_backoff_slots(self, node: _Node) -> int:
         """Backoff slots for the node's next attempt, uniform on 1..window,
@@ -438,10 +458,10 @@ class _Simulation:
         return node.draw_block[cursor]
 
     def _start_backoff(self, now: int, node: _Node) -> None:
-        node.mode = NodeMode.BACKOFF
-        node.radio = RadioState.SLEEP
+        node.mode = _BACKOFF
+        node.radio = _RADIO_SLEEP
         node.backoff_until = now + self._draw_backoff_slots(node) * self.slot
-        self._push(node.backoff_until, node.node_id, EventKind.BACKOFF_EXPIRED)
+        self._push(node.backoff_until, node.node_id, _BACKOFF_EXPIRED)
 
     def _enter_retry(self, now: int, node: _Node) -> None:
         node.timeout_at = None
@@ -459,8 +479,8 @@ class _Simulation:
             if node.queue:
                 self._begin_access(now, node)
             else:
-                node.mode = NodeMode.SLEEP
-                node.radio = RadioState.SLEEP
+                node.mode = _SLEEP
+                node.radio = _RADIO_SLEEP
         else:
             self._start_backoff(now, node)
 
@@ -469,13 +489,13 @@ class _Simulation:
     def _schedule_poll(self, now: int, floor: int = 0) -> None:
         """Arm the next poll. A draw shorter than an already-paid wake
         window is floored to the window end: wake windows never overlap."""
-        if self.current_polling is PollingKind.DETERMINISTIC:
+        if self.current_polling is _DETERMINISTIC:
             interval = self.poll_mean
         else:
             mean_s = self.cfg.polling.mean_interval_s
             interval = _ticks(float(self.poll_rng.exponential(mean_s)))
         self.next_poll = max(now + interval, floor)
-        self._push(self.next_poll, 0, EventKind.POLL_START)
+        self._push(self.next_poll, 0, _POLL_START)
 
     # -- event handlers ---------------------------------------------------
 
@@ -484,7 +504,7 @@ class _Simulation:
         node.queue.append(packet)
         self.generated += 1
         self.pending += 1
-        if node.mode is NodeMode.SLEEP:
+        if node.mode is _SLEEP:
             self._begin_access(now, node)
         return f"queue={len(node.queue)}"
 
@@ -493,16 +513,16 @@ class _Simulation:
         if now != self.next_poll:
             return "stale"
         busy = self.channel.activity_overlapping(now, now + self.slot)
-        if sink.mode is NodeMode.SLEEP:
+        if sink.mode is _SLEEP:
             self._settle(sink, now)
             self.poll_count += 1
             if busy:
-                sink.mode = NodeMode.POLLING
-                sink.radio = RadioState.LISTEN
+                sink.mode = _POLLING
+                sink.radio = _RADIO_LISTEN
                 self._schedule_poll(now)
             else:
                 # stays asleep; the wake window is still paid for
-                self._charge(sink, RadioState.LISTEN, now + self.slot)
+                self._charge(sink, _RADIO_LISTEN, now + self.slot)
                 self._schedule_poll(now, floor=now + self.slot)
             return "wake busy" if busy else "wake idle"
         # safety re-poll while already awake: hold on if the air is live,
@@ -511,37 +531,37 @@ class _Simulation:
             self._schedule_poll(now)
             return "hold"
         self._settle(sink, now)
-        sink.mode = NodeMode.SLEEP
-        sink.radio = RadioState.SLEEP
+        sink.mode = _SLEEP
+        sink.radio = _RADIO_SLEEP
         self._schedule_poll(now)
         return "give up"
 
     def _on_strobe_tx_end(self, now: int, node_id: int, strobe: Frame) -> str:
         node = self.nodes[node_id]
         delivered = self.channel.resolve(strobe)
-        self._charge(node, RadioState.LISTEN, strobe.start)
-        self._charge(node, RadioState.TX, now)
+        self._charge(node, _RADIO_LISTEN, strobe.start)
+        self._charge(node, _RADIO_TX, now)
         node.strobe_tx += now - strobe.start
         node.strobe_count += 1
-        if node.mode is not NodeMode.STROBE_SENDING:
+        if node.mode is not _STROBE_SENDING:
             raise SimulationIntegrityError(
                 f"strobe end for node {node.node_id} in mode {node.mode}")
 
         ea: Frame | None = None
         sink = self.sink
         if (delivered
-                and sink.mode in (NodeMode.POLLING, NodeMode.RX_PENDING)
-                and sink.radio is not RadioState.TX):
+                and sink.mode in (_POLLING, _RX_PENDING)
+                and sink.radio is not _RADIO_TX):
             self._settle(sink, now)
-            sink.mode = NodeMode.RX_PENDING
-            sink.radio = RadioState.TX
-            ea = Frame(0, node.node_id, FrameKind.EARLY_ACK,
+            sink.mode = _RX_PENDING
+            sink.radio = _RADIO_TX
+            ea = Frame(0, node.node_id, _EARLY_ACK,
                        now, now + self.early_ack_air)
             self.channel.register(ea)
-            self._push(ea.end, 0, EventKind.EARLY_ACK_TX_END, ea)
+            self._push(ea.end, 0, _EARLY_ACK_TX_END, ea)
 
         if ea is not None:
-            node.mode = NodeMode.AWAIT_EARLY_ACK
+            node.mode = _AWAIT_EARLY_ACK
             node.lock = ea
             return "answered"
         if node.timed_out:
@@ -567,13 +587,13 @@ class _Simulation:
             node.timed_out = False
             self._start_backoff(now, node)
             return
-        strobe = Frame(node.node_id, 0, FrameKind.STROBE,
+        strobe = Frame(node.node_id, 0, _STROBE,
                        next_start, next_start + self.strobe_air)
         self.channel.register(strobe)
         shift = self._train_jump(now, node) * self.strobe_cycle
         strobe.start += shift
         strobe.end += shift
-        self._push(strobe.end, node.node_id, EventKind.STROBE_TX_END, strobe)
+        self._push(strobe.end, node.node_id, _STROBE_TX_END, strobe)
 
     def _next_fixed_event(self) -> int:
         """Earliest moment the steady strobing regime can change from the
@@ -585,9 +605,8 @@ class _Simulation:
             t = min(t, self.arrival_ticks[self.generated])
         if self.next_cycle is not None:
             t = min(t, self.next_cycle)
-        strobing = NodeMode.STROBE_SENDING  # one member lookup, not one per node
         for other in self.nodes[1:]:
-            if other.mode is strobing and other.timeout_at < t:
+            if other.mode is _STROBE_SENDING and other.timeout_at < t:
                 t = other.timeout_at
         return t
 
@@ -595,14 +614,13 @@ class _Simulation:
         """Whether the network is in its quiet strobing regime: sink asleep
         and nothing on the air but clean strobe trains from senders that
         have not timed out. Both fast paths run only inside it."""
-        if self.sink.mode is not NodeMode.SLEEP:
+        if self.sink.mode is not _SLEEP:
             return False
-        strobe, strobing = FrameKind.STROBE, NodeMode.STROBE_SENDING
         for frame in self.channel._active:
-            if frame.collided or frame.kind is not strobe:
+            if frame.collided or frame.kind is not _STROBE:
                 return False
             owner = self.nodes[frame.sender]
-            if owner.mode is not strobing or owner.timed_out:
+            if owner.mode is not _STROBE_SENDING or owner.timed_out:
                 return False
         return True
 
@@ -634,14 +652,13 @@ class _Simulation:
         in the order of its first replayed attempt; the expiries it
         supersedes are dropped when due."""
         nodes = self.nodes
-        backoff = NodeMode.BACKOFF
         attempts = sorted([(n.backoff_until, n.node_id) for n in nodes[1:]
-                           if n.mode is backoff])
+                           if n.mode is _BACKOFF])
         slot = self.slot
         period = self.strobe_cycle
         width = self.strobe_air + slot - 1
         arcs = [(f.start - slot + 1) % period for f in self.channel._active]
-        last = horizon - slot  # the last attempt that ends inside the horizon
+        end = horizon - slot + 1  # an attempt from here on ends past the horizon
         stop = math.inf  # the earliest stopping tick found so far
         times: list[int] = []  # the replayed attempts of one walk after another
         replay = times.append
@@ -649,38 +666,41 @@ class _Simulation:
         for t, node_id in attempts:
             if t >= stop:
                 break  # and so is every later node's first attempt
-            node = nodes[node_id]
-            lo = len(times)
-            # the node drew its pending slots with its current window, and
-            # retry_count does not change in backoff: only a block end needs
-            # _draw_backoff_slots
-            block = node.draw_block
-            cursor = start = node.draw_cursor
-            crossings = ()  # (draw, block, state and generator state before it)
-            while t < stop:
-                if t > last:
-                    stop = t
-                    break
+            bound = min(stop, end)
+            node = None  # set up at the first busy attempt: most calls replay none
+            while t < bound:
                 for a in arcs:
                     if (t - a) % period < width:
                         break
                 else:
-                    stop = t
-                    break
+                    break  # the attempt could find the channel clear
+                if node is None:
+                    node = nodes[node_id]
+                    lo = len(times)
+                    # the node drew its pending slots with its current window,
+                    # and retry_count does not change in backoff: only a block
+                    # end needs _draw_backoff_slots
+                    block = node.draw_block
+                    size = len(block)
+                    cursor = start = node.draw_cursor
+                    crossings = ()  # (draw, block, state and generator state before it)
                 replay(t)
-                if cursor < len(block):
+                if cursor < size:
                     slots = block[cursor]
                     cursor += 1
                 else:
                     rng_state = self.backoff_rng[node_id].bit_generator.state
-                    crossings += ((len(times) - 1 - lo, node.draw_block,
-                                   node.draw_state, rng_state),)
+                    crossings += ((len(times) - 1 - lo, block, node.draw_state,
+                                   rng_state),)
                     node.draw_cursor = cursor
                     slots = self._draw_backoff_slots(node)
                     block = node.draw_block
+                    size = len(block)
                     cursor = node.draw_cursor
                 t += slots * slot
-            if len(times) > lo:
+            if t < stop:
+                stop = t
+            if node is not None:
                 node.draw_cursor = cursor
                 walks.append((node, lo, len(times), t, start, crossings))
 
@@ -706,11 +726,11 @@ class _Simulation:
             if asleep < 0:
                 raise SimulationIntegrityError(
                     f"node {node.node_id}: replayed sleep of {asleep} ticks")
-            node.residency[RadioState.SLEEP.index] += asleep
-            node.residency[RadioState.LISTEN.index] += listen
+            node.residency[_RADIO_SLEEP.index] += asleep
+            node.residency[_RADIO_LISTEN.index] += listen
             node.radio_since = cca_end
             node.backoff_until = next_t
-            self._push(next_t, node.node_id, EventKind.BACKOFF_EXPIRED)
+            self._push(next_t, node.node_id, _BACKOFF_EXPIRED)
         return min(stop, horizon)
 
     def _train_jump(self, now: int, node: _Node) -> int:
@@ -729,8 +749,8 @@ class _Simulation:
         if cycles < 1:
             return 0
         mid = node.radio_since + cycles * self.ea_wait
-        self._charge(node, RadioState.LISTEN, mid)
-        self._charge(node, RadioState.TX, mid + cycles * self.strobe_air)
+        self._charge(node, _RADIO_LISTEN, mid)
+        self._charge(node, _RADIO_TX, mid + cycles * self.strobe_air)
         node.strobe_tx += cycles * self.strobe_air
         node.strobe_count += cycles
         return cycles
@@ -739,7 +759,7 @@ class _Simulation:
         sink = self.sink
         delivered = self.channel.resolve(ea)
         self._settle(sink, now)
-        sink.radio = RadioState.LISTEN
+        sink.radio = _RADIO_LISTEN
         target = self.nodes[ea.target]
         if target.lock is not ea:
             # the strober gave up before the answer finished
@@ -755,45 +775,45 @@ class _Simulation:
                 target.timeout_at = None
                 self._start_backoff(now, target)
                 return "garbled, deferring"
-            target.mode = NodeMode.STROBE_SENDING
-            strobe = Frame(target.node_id, 0, FrameKind.STROBE,
+            target.mode = _STROBE_SENDING
+            strobe = Frame(target.node_id, 0, _STROBE,
                            now, now + self.strobe_air)
             self.channel.register(strobe)
-            self._push(strobe.end, target.node_id, EventKind.STROBE_TX_END, strobe)
+            self._push(strobe.end, target.node_id, _STROBE_TX_END, strobe)
             return "garbled, strobing on"
         # answer heard: the whole early ACK was reception, then data goes out
         target.timed_out = False
-        self._charge(target, RadioState.LISTEN, ea.start)
-        self._charge(target, RadioState.RX, now)
+        self._charge(target, _RADIO_LISTEN, ea.start)
+        self._charge(target, _RADIO_RX, now)
         n_packets = min(len(target.queue), self.cfg.frames.max_concat)
         payload = tuple(islice(target.queue, n_packets))
-        data = Frame(target.node_id, 0, FrameKind.DATA,
+        data = Frame(target.node_id, 0, _DATA,
                      now, now + self.data_air[n_packets], payload)
         self.channel.register(data)
-        self._push(data.end, target.node_id, EventKind.DATA_TX_END, data)
-        target.mode = NodeMode.DATA_SENDING
-        target.radio = RadioState.TX
+        self._push(data.end, target.node_id, _DATA_TX_END, data)
+        target.mode = _DATA_SENDING
+        target.radio = _RADIO_TX
         if target.head_sent:
             self.retransmissions += 1
         target.head_sent = True
         target.timeout_at = data.end + self.block_ack_air + 2 * self.slot
-        self._push(target.timeout_at, target.node_id, EventKind.STROBE_TIMEOUT)
+        self._push(target.timeout_at, target.node_id, _STROBE_TIMEOUT)
         return f"data x{n_packets}"
 
     def _on_data_tx_end(self, now: int, node_id: int, data: Frame) -> str:
         node = self.nodes[node_id]
         delivered = self.channel.resolve(data)
         self._settle(node, now)
-        node.mode = NodeMode.AWAIT_BLOCK_ACK
-        node.radio = RadioState.LISTEN
+        node.mode = _AWAIT_BLOCK_ACK
+        node.radio = _RADIO_LISTEN
         if not delivered:
             return "collided"
         sink = self.sink
-        if sink.mode is not NodeMode.RX_PENDING:
+        if sink.mode is not _RX_PENDING:
             raise SimulationIntegrityError(
                 f"clean data frame with the sink in mode {sink.mode}")
-        self._charge(sink, RadioState.LISTEN, data.start)
-        self._charge(sink, RadioState.RX, now)
+        self._charge(sink, _RADIO_LISTEN, data.start)
+        self._charge(sink, _RADIO_RX, now)
         fresh = 0
         for packet in data.packets:
             key = (packet.node_id, packet.seq_no)
@@ -807,25 +827,25 @@ class _Simulation:
             fresh += 1
         k = len(data.packets)
         self.superpacket_sizes[k] = self.superpacket_sizes.get(k, 0) + 1
-        ack = Frame(0, node.node_id, FrameKind.BLOCK_ACK,
+        ack = Frame(0, node.node_id, _BLOCK_ACK,
                     now, now + self.block_ack_air, data.packets)
         self.channel.register(ack)
-        self._push(ack.end, 0, EventKind.ACK_TX_END, ack)
-        sink.radio = RadioState.TX
+        self._push(ack.end, 0, _ACK_TX_END, ack)
+        sink.radio = _RADIO_TX
         return f"received x{k} ({fresh} new)"
 
     def _on_ack_tx_end(self, now: int, node_id: int, ack: Frame) -> str:
         sink = self.sink
         delivered = self.channel.resolve(ack)
         self._settle(sink, now)
-        sink.mode = NodeMode.SLEEP
-        sink.radio = RadioState.SLEEP
+        sink.mode = _SLEEP
+        sink.radio = _RADIO_SLEEP
         self._schedule_poll(now)
         target = self.nodes[ack.target]
-        if not delivered or target.mode is not NodeMode.AWAIT_BLOCK_ACK:
+        if not delivered or target.mode is not _AWAIT_BLOCK_ACK:
             return "lost"
-        self._charge(target, RadioState.LISTEN, ack.start)
-        self._charge(target, RadioState.RX, now)
+        self._charge(target, _RADIO_LISTEN, ack.start)
+        self._charge(target, _RADIO_RX, now)
         for _ in ack.packets:
             target.queue.popleft()
         target.retry_count = 0
@@ -835,13 +855,13 @@ class _Simulation:
         if target.queue:
             self._begin_access(now, target)
         else:
-            target.mode = NodeMode.SLEEP
-            target.radio = RadioState.SLEEP
+            target.mode = _SLEEP
+            target.radio = _RADIO_SLEEP
         return f"confirmed x{len(ack.packets)}"
 
     def _on_backoff_expired(self, now: int, node_id: int, item: None) -> str:
         node = self.nodes[node_id]
-        if node.mode is not NodeMode.BACKOFF:
+        if node.mode is not _BACKOFF:
             raise SimulationIntegrityError(
                 f"backoff expiry for node {node.node_id} in mode {node.mode}")
         if now != node.backoff_until:
@@ -861,12 +881,12 @@ class _Simulation:
         node = self.nodes[node_id]
         if now != node.timeout_at:
             return "stale"
-        if node.mode in (NodeMode.STROBE_SENDING, NodeMode.AWAIT_EARLY_ACK):
+        if node.mode in (_STROBE_SENDING, _AWAIT_EARLY_ACK):
             # a frame is on the air or expected; fold the retry into the
             # next transmission-end event instead of tearing it down here
             node.timed_out = True
             return "flagged"
-        if node.mode is NodeMode.AWAIT_BLOCK_ACK:
+        if node.mode is _AWAIT_BLOCK_ACK:
             self._enter_retry(now, node)
             return "no block ack"
         raise SimulationIntegrityError(
@@ -878,7 +898,7 @@ class _Simulation:
         if estimate is not None:
             self.informative_cycles += 1
             choice = select_distribution(estimate.cv, self.cfg.cv_threshold)
-            if choice is PollingKind.EXPONENTIAL:
+            if choice is _EXPONENTIAL:
                 self.exp_selections += 1
             else:
                 self.det_selections += 1
@@ -888,7 +908,7 @@ class _Simulation:
             detail = f"cv={estimate.cv:.3f} -> {choice.value}"
         self.cv_window.clear()
         self.next_cycle = now + self.cycle
-        self._push(self.next_cycle, 0, EventKind.CYCLE_BOUNDARY)
+        self._push(self.next_cycle, 0, _CYCLE_BOUNDARY)
         return detail
 
     # -- main loop --------------------------------------------------------
@@ -896,8 +916,8 @@ class _Simulation:
     def _finished(self) -> bool:
         return (self.generated == self.expected
                 and self.pending == 0
-                and self.sink.mode is NodeMode.SLEEP
-                and all(n.mode is NodeMode.SLEEP and not n.queue
+                and self.sink.mode is _SLEEP
+                and all(n.mode is _SLEEP and not n.queue
                         for n in self.nodes[1:]))
 
     def run(self) -> LowLevelResult:

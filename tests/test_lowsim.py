@@ -1,7 +1,9 @@
 """Radio-model behavior: hand-traced handshakes, energy closure, determinism,
 contention, retries, and the dynamic polling switch."""
+import ast
 import copy
 import heapq
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -508,3 +510,75 @@ def test_backoff_walk_across_small_blocks(monkeypatch):
         for f in fields(LowLevelResult):
             if f.name != "event_count":
                 assert getattr(result, f.name) == getattr(step, f.name), f.name
+
+
+def _window(sim, node):
+    """The backoff window of the node's next draw."""
+    return min(sim.cfg.mac.initial_backoff_slots << node.retry_count,
+               sim.cfg.mac.backoff_cap_slots)
+
+
+def test_backoff_nodes_hold_a_block_of_their_window(monkeypatch):
+    """The walk reads a node's pending block straight, without the window
+    check of _draw_backoff_slots. That is sound only while every node in
+    backoff drew its block with the window of its retry count, which holds
+    because retry_count does not change in backoff. Every replay call of
+    the saturated configs checks it."""
+    walk = _Simulation._replay_backoffs
+    checked = 0
+
+    def spy_walk(self, horizon):
+        nonlocal checked
+        for node in self.nodes[1:]:
+            if node.mode is NodeMode.BACKOFF:
+                assert node.draw_window == _window(self, node)
+                checked += 1
+        return walk(self, horizon)
+
+    monkeypatch.setattr(_Simulation, "_replay_backoffs", spy_walk)
+    for case in SATURATED:
+        run_low_level(_saturated(*case), 2)
+    assert checked > 1000
+
+
+def test_window_change_rewinds_at_default_block_size(monkeypatch):
+    """With blocks of _DRAW_BLOCK slots, nearly every retry changes the
+    window while values of the old block are still unused, so
+    _draw_backoff_slots restores the generator and redraws the used count.
+    The config that drops after one retry must take that branch and still
+    give the result of one scalar draw per attempt."""
+    config = _saturated(*SATURATED[2])
+    draw = _Simulation._draw_backoff_slots
+    rewinds = 0
+
+    def spy_draw(self, node):
+        nonlocal rewinds
+        rewinds += (_window(self, node) != node.draw_window
+                    and node.draw_cursor < len(node.draw_block))
+        return draw(self, node)
+
+    monkeypatch.setattr(_Simulation, "_draw_backoff_slots", spy_draw)
+    blocked = run_low_level(config, 2)
+    assert rewinds > 0
+
+    def scalar_draw(self, node):
+        return 1 + int(self.backoff_rng[node.node_id].integers(0, _window(self, node)))
+
+    monkeypatch.setattr(_Simulation, "_draw_backoff_slots", scalar_draw)
+    assert run_low_level(config, 2) == blocked
+
+
+def test_event_path_reads_no_enum_class_attributes():
+    """A member read through an Enum class goes through
+    EnumType.__getattr__, about ten times the cost of a module global, so
+    the simulation and the channel read the members lowsim binds at import."""
+    enums = {"NodeMode", "RadioState", "FrameKind", "EventKind", "PollingKind"}
+    tree = ast.parse(inspect.getsource(lowsim))
+    classes = [c for c in tree.body
+               if isinstance(c, ast.ClassDef) and c.name in ("_Simulation", "Channel")]
+    assert len(classes) == 2
+    reads = [f"{c.name}:{n.lineno}: {n.value.id}.{n.attr}"
+             for c in classes for n in ast.walk(c)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+             and isinstance(n.value, ast.Name) and n.value.id in enums]
+    assert not reads
