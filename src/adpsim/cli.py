@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -290,23 +291,35 @@ def write_runs_csv(path, rows: list[RunMetrics]) -> None:
                              r.retransmissions])
 
 
+# how read_runs_csv parses each column of RUNS_CSV_HEADER
+_RUNS_CSV_TYPES = (str, str, str, float, int, int, float, float, int, int,
+                   int, int)
+
+
 def read_runs_csv(path) -> list[RunMetrics]:
     rows: list[RunMetrics] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RUNS_CSV_HEADER:
-            raise ParameterError(f"unexpected runs header {header!r}")
+            raise ParameterError(f"{path}: unexpected runs header {header!r}")
         for raw in reader:
+            where = f"{path} line {reader.line_num}"
             if len(raw) != len(RUNS_CSV_HEADER):
-                raise ParameterError(f"bad row {raw!r}")
-            rows.append(RunMetrics(
-                fidelity=raw[0], arrival=raw[1], polling=raw[2],
-                mean_poll_interval_s=float(raw[3]), run=int(raw[4]),
-                seed=int(raw[5]), energy_mJ=float(raw[6]),
-                mean_delay_s=float(raw[7]), delivered=int(raw[8]),
-                dropped=int(raw[9]), collisions=int(raw[10]),
-                retransmissions=int(raw[11])))
+                raise ParameterError(f"{where}: bad row {raw!r}")
+            values = []
+            for name, kind, cell in zip(RUNS_CSV_HEADER, _RUNS_CSV_TYPES, raw):
+                try:
+                    value = kind(cell)
+                except ValueError:
+                    raise ParameterError(
+                        f"{where}: cannot parse {name} {cell!r}") from None
+                # no run writes a nan or inf; one would print as a nan CI
+                if kind is float and not math.isfinite(value):
+                    raise ParameterError(f"{where}: {name} must be finite, "
+                                         f"got {cell!r}")
+                values.append(value)
+            rows.append(RunMetrics(*values))
     return rows
 
 

@@ -2,7 +2,7 @@
 classification over swept parameter values."""
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,31 +29,80 @@ class Summary:
         return self.mean + self.ci_half_width
 
 
+# The t quantile's finite sums give P(|T| <= t) to about 1e-16 absolute, so
+# the tail mass 1 - confidence keeps few digits past this level.
+MAX_CONFIDENCE = 0.999999
+
+
 def summarize(values, confidence: float = 0.95) -> Summary:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ParameterError(f"expected a 1-D sample, got shape {arr.shape}")
     if arr.size < 2:
         raise InsufficientDataError(f"need >= 2 values for a CI, got {arr.size}")
-    if not 0 < confidence < 1:
-        raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
-    import scipy.stats  # deferred: it costs most of the package's import time
-
+    if not 0 < confidence <= MAX_CONFIDENCE:
+        raise ParameterError(f"confidence must be in (0, {MAX_CONFIDENCE}], "
+                             f"got {confidence}")
     mean = float(arr.mean())
     std = float(arr.std(ddof=1))
-    t = float(scipy.stats.t.ppf(0.5 + confidence / 2, df=arr.size - 1))
+    t = _t_quantile(0.5 + confidence / 2, df=arr.size - 1)
     return Summary(n=int(arr.size), mean=mean, std=std,
                    ci_half_width=t * std / float(np.sqrt(arr.size)))
 
 
-def _spearman(xs, ys) -> float:
-    import scipy.stats
+def _t_central_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for t >= 0 and Student's T with integer df >= 1: the
+    finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even)."""
+    cos2 = df / (df + t * t)
+    sin = t / math.sqrt(df + t * t)
+    odd = df % 2
+    total = term = 1.0
+    for a in range(1 + odd, df - 1, 2):
+        term *= cos2 * a / (a + 1)
+        total += term
+    if not odd:
+        return sin * total
+    # df 1 is the Cauchy law, 2 theta / pi, with no series at all
+    series = sin * math.sqrt(cos2) * total if df > 1 else 0.0
+    return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + series)
 
-    with warnings.catch_warnings():
-        # a constant series has no defined rank correlation; nan is the
-        # documented FLAT outcome, not a condition worth a warning
-        warnings.simplefilter("ignore", scipy.stats.ConstantInputWarning)
-        return float(scipy.stats.spearmanr(xs, ys).statistic)
+
+def _t_quantile(q: float, df: int) -> float:
+    """The q-quantile of Student's t with integer df >= 1, for q in (0.5, 1).
+
+    Within 1e-11 relative of the exact value up to q = 0.9995; the error
+    grows as 1e-16 / (1 - q) beyond."""
+    target = 2.0 * q - 1.0
+    log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                - 0.5 * math.log(df * math.pi))
+    # P(|T| <= t) is concave in t >= 0, so Newton's iterates from 0 climb
+    # to the root; a step that is not upward is rounding at the root
+    t = 0.0
+    for _ in range(200):
+        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (target - _t_central_mass(t, df)) / (2.0 * density)
+        t += step
+        if step <= 1e-12 * t:
+            break
+    return t
+
+
+def _average_ranks(values) -> np.ndarray:
+    """Ranks from 1, ties sharing the mean of their positions."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
+def _spearman(xs, ys) -> float:
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return math.nan
+    ranks = np.vstack([_average_ranks(xs), _average_ranks(ys)])
+    # a constant series has no rank spread, and the 0/0 it meets is the
+    # nan that trend_direction reads as FLAT
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks)[1, 0])
+
 
 class Trend(str, Enum):
     INCREASING = "increasing"

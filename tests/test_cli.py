@@ -170,6 +170,28 @@ def test_runs_csv_rejects_short_row(tmp_path):
         read_runs_csv(path)
 
 
+def _runs_csv_with(path, column, cell):
+    # a valid runs CSV whose second row (line 3) holds one bad cell
+    write_runs_csv(path, [_row(run=0), _row(run=1)])
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[RUNS_CSV_HEADER.index(column)] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_MALFORMED_CELLS = [
+    ("energy_mJ", "abc", "cannot parse energy_mJ 'abc'"),
+    ("run", "x", "cannot parse run 'x'"),
+    ("mean_poll_interval_s", "nan", "mean_poll_interval_s must be finite"),
+    ("energy_mJ", "inf", "energy_mJ must be finite"),
+    ("mean_delay_s", "-inf", "mean_delay_s must be finite"),
+]
+_MALFORMED_IDS = ["unparsable-float", "unparsable-int", "nan-interval",
+                  "inf-energy", "minus-inf-delay"]
+
+
 def _tiny_sweep_config() -> ExperimentConfig:
     return ExperimentConfig(sweep=SweepSection(
         poll_intervals_s=(2.0, 4.0), high_runs_per_cell=2,
@@ -363,6 +385,46 @@ def test_python_dash_m_runs_the_cli():
     assert ok.returncode == 0 and "energy_mJ = " in ok.stdout
     bad = run("high", "--seed", "-1")
     assert bad.returncode == 2 and bad.stderr.startswith("error: master seed")
+
+
+@pytest.mark.parametrize("column, cell, named", _MALFORMED_CELLS,
+                         ids=_MALFORMED_IDS)
+def test_main_rejects_malformed_runs_csv(column, cell, named, tmp_path,
+                                         capsys):
+    bad = _runs_csv_with(tmp_path / "bad.csv", column, cell)
+    good = tmp_path / "low.csv"
+    write_runs_csv(good, _good_low())
+    for argv in (["report", str(bad)],
+                 ["compare", "--high", str(bad), "--low", str(good)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{bad} line 3: {named}" in err
+
+
+def test_report_and_compare_import_no_scipy(tmp_path):
+    # importing scipy.stats once cost each command about 70 MB of resident
+    # memory and over a second of start-up; nothing on this path may pull
+    # it back in
+    high = tmp_path / "high.csv"
+    low = tmp_path / "low.csv"
+    second_runs = [dataclasses.replace(r, run=1, energy_mJ=r.energy_mJ + 1)
+                   for r in _good_high()]
+    write_runs_csv(high, _good_high() + second_runs)
+    write_runs_csv(low, _good_low())
+    script = (
+        "import sys\n"
+        "from adpsim import cli\n"
+        f"assert cli.main(['report', {str(high)!r}]) == 0\n"
+        f"assert cli.main(['compare', '--high', {str(high)!r},"
+        f" '--low', {str(low)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(adpsim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "0 failed" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_sweep_requires_an_output(capsys):
