@@ -9,8 +9,10 @@ import csv
 import math
 import sys
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,9 @@ from .core import (
     PollingDistribution,
     PollingKind,
 )
-from .highsim import HighLevelConfig, run_high_level
-from .lowsim import LowLevelConfig, MacParams, RadioPowerProfile, run_low_level
+from .highsim import HighLevelConfig, HighLevelResult, run_high_level
+from .lowsim import (LowLevelConfig, LowLevelResult, MacParams,
+                     RadioPowerProfile, run_low_level)
 from .stats import RunMetrics, Trend, spearman_rho, summarize, trend_direction
 
 RUNS_CSV_HEADER = [
@@ -224,56 +227,67 @@ def run_seed(master_seed: int, fidelity: str, arrival: str,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-_HIGH_CELLS = tuple(product(("cbr", "poisson"), ("deterministic", "exponential")))
-_LOW_CELLS = tuple(product(("cbr", "poisson", "bursty"),
-                           ("deterministic", "exponential", "dynamic")))
+# the (arrivals, pollings) each model takes; its sweep runs every pair
+_HIGH_KINDS = (("cbr", "poisson"), ("deterministic", "exponential"))
+_LOW_KINDS = (("cbr", "poisson", "bursty"),
+              ("deterministic", "exponential", "dynamic"))
 
 
-def _high_cell_runs(exp: ExperimentConfig, arrival: str, polling: str) -> int:
-    # constant arrivals under a fixed poll grid have no randomness at all
-    if arrival == "cbr" and polling == "deterministic":
-        return 1
-    return exp.sweep.high_runs_per_cell
+class SweepCell(NamedTuple):
+    """One (fidelity, arrival, polling, interval) cell of the sweep grid,
+    with the config its runs share and one seed per run."""
+
+    fidelity: str
+    arrival: str
+    polling: str
+    interval_s: float
+    config: HighLevelConfig | LowLevelConfig
+    seeds: tuple[int, ...]
+
+    def row(self, rep: int, res: HighLevelResult | LowLevelResult) -> RunMetrics:
+        """The runs-CSV row of run `rep`, from either model's result."""
+        if self.fidelity == "high":
+            counts = (res.packet_count, res.undelivered_count, 0, 0)
+        else:
+            counts = (res.delivered, res.dropped, res.collisions,
+                      res.retransmissions)
+        return RunMetrics(self.fidelity, self.arrival, self.polling,
+                          self.interval_s, rep, self.seeds[rep],
+                          res.total_energy_mJ, res.mean_delay_s, *counts)
+
+
+def sweep_cells(exp: ExperimentConfig) -> Iterator[SweepCell]:
+    """Every cell of the sweep in run order: the byte-cost model's, then the
+    radio model's, each by (arrival, polling) and then by interval."""
+    sweep = exp.sweep
+    models = (("high", sweep.include_high, _HIGH_KINDS, exp.high_config,
+               sweep.high_runs_per_cell),
+              ("low", sweep.include_low, _LOW_KINDS, exp.low_config,
+               sweep.low_runs_per_cell))
+    for fidelity, included, kinds, make_config, runs in models:
+        if not included:
+            continue
+        for arrival, polling in product(*kinds):
+            # constant arrivals under a fixed poll grid have no randomness at all
+            one_run = (fidelity, arrival, polling) == ("high", "cbr", "deterministic")
+            for interval in sweep.poll_intervals_s:
+                config = make_config(arrival, polling, interval)
+                seeds = tuple(run_seed(sweep.master_seed, fidelity, arrival,
+                                       interval, rep)
+                              for rep in range(1 if one_run else runs))
+                yield SweepCell(fidelity, arrival, polling, interval, config,
+                                seeds)
 
 
 def run_sweep(exp: ExperimentConfig, progress=None) -> list[RunMetrics]:
-    sweep = exp.sweep
     rows: list[RunMetrics] = []
-    if sweep.include_high:
-        for arrival, polling in _HIGH_CELLS:
-            for interval in sweep.poll_intervals_s:
-                config = exp.high_config(arrival, polling, interval)
-                for rep in range(_high_cell_runs(exp, arrival, polling)):
-                    seed = run_seed(sweep.master_seed, "high", arrival, interval, rep)
-                    res = run_high_level(config, seed)
-                    rows.append(RunMetrics(
-                        fidelity="high", arrival=arrival, polling=polling,
-                        mean_poll_interval_s=interval, run=rep, seed=seed,
-                        energy_mJ=res.total_energy_mJ,
-                        mean_delay_s=res.mean_delay_s,
-                        delivered=res.packet_count,
-                        dropped=res.undelivered_count,
-                        collisions=0, retransmissions=0))
-                if progress:
-                    progress(f"high {arrival}/{polling} interval={interval:g}")
-    if sweep.include_low:
-        for arrival, polling in _LOW_CELLS:
-            for interval in sweep.poll_intervals_s:
-                config = exp.low_config(arrival, polling, interval)
-                for rep in range(sweep.low_runs_per_cell):
-                    seed = run_seed(sweep.master_seed, "low", arrival, interval, rep)
-                    res = run_low_level(config, seed)
-                    rows.append(RunMetrics(
-                        fidelity="low", arrival=arrival, polling=polling,
-                        mean_poll_interval_s=interval, run=rep, seed=seed,
-                        energy_mJ=res.total_energy_mJ,
-                        mean_delay_s=res.mean_delay_s,
-                        delivered=res.delivered,
-                        dropped=res.dropped,
-                        collisions=res.collisions,
-                        retransmissions=res.retransmissions))
-                if progress:
-                    progress(f"low {arrival}/{polling} interval={interval:g}")
+    for cell in sweep_cells(exp):
+        simulate = run_high_level if cell.fidelity == "high" else run_low_level
+        rows.extend(cell.row(rep, simulate(cell.config, seed))
+                    for rep, seed in enumerate(cell.seeds))
+        if progress:
+            progress(f"{cell.fidelity} {cell.arrival}/{cell.polling} "
+                     f"interval={cell.interval_s:g}")
     rows.sort(key=lambda r: (r.fidelity, r.arrival, r.polling,
                              r.mean_poll_interval_s, r.run))
     return rows
@@ -347,8 +361,26 @@ def _mean(values):
     return sum(values) / len(values)
 
 
+def _half_width(values) -> float:
+    """The 95% ci half-width; nan, which no comparison passes, for fewer
+    than two values."""
+    return summarize(values).ci_half_width if len(values) >= 2 else math.nan
+
+
+_METRIC_GETTERS = {
+    "energy": lambda r: r.energy_mJ,
+    "delay": lambda r: r.mean_delay_s,
+}
+
+
+def _no_worse(value: float, rival: float) -> bool:
+    """value <= rival up to the one tie rule of every ordering check: a
+    relative 1e-9, plus 1e-12 absolute so that two zeros tie."""
+    return value <= rival * (1 + _REL_TIE_TOL) + 1e-12
+
+
 def _trend_verdict(check: str, subject: str, points, expected: Trend) -> Verdict:
-    if len({x for x, _ in points}) < 3:
+    if len(points) < 3:
         return Verdict(check, subject, "SKIP", "fewer than 3 interval values")
     direction = trend_direction(points)
     rho = spearman_rho(points)
@@ -369,16 +401,11 @@ def _coerce_fidelity(rows: list[RunMetrics], fidelity: str) -> list[RunMetrics]:
     return [replace(r, fidelity=fidelity) for r in rows]
 
 
-def _require_complete(cells) -> None:
-    missing = []
-    for fidelity in ("high", "low"):
-        intervals = sorted({k[3] for k in cells if k[0] == fidelity})
-        combos = sorted({(k[1], k[2]) for k in cells if k[0] == fidelity})
-        for arrival, polling in combos:
-            for interval in intervals:
-                if (fidelity, arrival, polling, interval) not in cells:
-                    missing.append(f"({fidelity}, {arrival}, {polling}, "
-                                   f"{interval:g})")
+def _require_complete(cells, grids) -> None:
+    missing = [f"({fidelity}, {arrival}, {polling}, {interval:g})"
+               for fidelity, (intervals, pairs) in grids.items()
+               for arrival, polling in pairs for interval in intervals
+               if (fidelity, arrival, polling, interval) not in cells]
     if missing:
         raise ParameterError("incomplete sweep, missing cells: "
                              + ", ".join(missing))
@@ -401,82 +428,64 @@ def compare_runs(high_rows: list[RunMetrics],
     rows = (_coerce_fidelity(high_rows, "high")
             + _coerce_fidelity(low_rows, "low"))
     cells = _cell_values(rows)
-    _require_complete(cells)
-    if not ({k[1] for k in cells if k[0] == "high"}
-            & {k[1] for k in cells if k[0] == "low"}):
+    # each model's sorted intervals and (arrival, polling) pairs
+    grids = {fidelity: (sorted({k[3] for k in cells if k[0] == fidelity}),
+                        sorted({(k[1], k[2]) for k in cells if k[0] == fidelity}))
+             for fidelity in ("high", "low")}
+    _require_complete(cells, grids)
+    if not ({a for a, _ in grids["high"][1]} & {a for a, _ in grids["low"][1]}):
         raise ParameterError("no arrival model common to both inputs")
-    energy_means = {k: _mean([r.energy_mJ for r in v]) for k, v in cells.items()}
-    delay_means = {k: _mean([r.mean_delay_s for r in v]) for k, v in cells.items()}
+    means = {metric: {k: _mean([get(r) for r in v]) for k, v in cells.items()}
+             for metric, get in _METRIC_GETTERS.items()}
     verdicts: list[Verdict] = []
 
-    def groups(fidelity):
-        intervals = sorted({k[3] for k in cells if k[0] == fidelity})
-        combos = sorted({(k[1], k[2]) for k in cells if k[0] == fidelity})
-        for arrival, polling in combos:
-            pts = [(i, energy_means[(fidelity, arrival, polling, i)])
-                   for i in intervals if (fidelity, arrival, polling, i) in cells]
-            dpts = [(i, delay_means[(fidelity, arrival, polling, i)])
-                    for i in intervals if (fidelity, arrival, polling, i) in cells]
-            yield arrival, polling, pts, dpts
-
-    for arrival, polling, pts, dpts in groups("high"):
-        verdicts.append(_trend_verdict("high-energy-vs-interval",
-                                       f"{arrival}/{polling}", pts,
-                                       Trend.DECREASING))
-        verdicts.append(_trend_verdict("high-delay-vs-interval",
-                                       f"{arrival}/{polling}", dpts,
-                                       Trend.INCREASING))
-    for arrival, polling, pts, dpts in groups("low"):
-        if MATCHED_POLLING.get(arrival) != polling:
-            continue
-        verdicts.append(_trend_verdict("low-energy-vs-interval",
-                                       f"{arrival}/{polling}", pts,
-                                       Trend.INCREASING))
-        verdicts.append(_trend_verdict("low-delay-vs-interval",
-                                       f"{arrival}/{polling}", dpts,
-                                       Trend.INCREASING))
+    for fidelity, energy_trend in (("high", Trend.DECREASING),
+                                   ("low", Trend.INCREASING)):
+        intervals, pairs = grids[fidelity]
+        for arrival, polling in pairs:
+            if fidelity == "low" and MATCHED_POLLING.get(arrival) != polling:
+                continue
+            for metric, expected in (("energy", energy_trend),
+                                     ("delay", Trend.INCREASING)):
+                points = [(i, means[metric][(fidelity, arrival, polling, i)])
+                          for i in intervals]
+                verdicts.append(_trend_verdict(
+                    f"{fidelity}-{metric}-vs-interval", f"{arrival}/{polling}",
+                    points, expected))
 
     # within the byte-cost model, exponential polling can only merge more
     # packets per poll than the deterministic grid, never fewer
-    intervals_high = sorted({k[3] for k in cells if k[0] == "high"})
-    for arrival in sorted({k[1] for k in cells if k[0] == "high"}):
-        for interval in intervals_high:
+    intervals, pairs = grids["high"]
+    energy, delay = means["energy"], means["delay"]
+    for arrival, polling in pairs:
+        if polling != "deterministic" or (arrival, "exponential") not in pairs:
+            continue
+        for interval in intervals:
             det = ("high", arrival, "deterministic", interval)
             exp_ = ("high", arrival, "exponential", interval)
-            if det not in cells or exp_ not in cells:
-                continue
-            ok_energy = energy_means[exp_] <= energy_means[det] * (1 + _REL_TIE_TOL)
-            ok_delay = delay_means[det] <= delay_means[exp_] + _REL_TIE_TOL
-            status = "PASS" if (ok_energy and ok_delay) else "FAIL"
+            ok = (_no_worse(energy[exp_], energy[det])
+                  and _no_worse(delay[det], delay[exp_]))
             verdicts.append(Verdict(
-                "high-polling-order", f"{arrival}@{interval:g}", status,
-                f"energy exp {energy_means[exp_]:.1f} vs det "
-                f"{energy_means[det]:.1f} mJ, delay det "
-                f"{delay_means[det]:.3f} vs exp {delay_means[exp_]:.3f} s"))
+                "high-polling-order", f"{arrival}@{interval:g}",
+                "PASS" if ok else "FAIL",
+                f"energy exp {energy[exp_]:.1f} vs det {energy[det]:.1f} mJ, "
+                f"delay det {delay[det]:.3f} vs exp {delay[exp_]:.3f} s"))
 
-    intervals_low = sorted({k[3] for k in cells if k[0] == "low"})
-    verdicts.extend(_matching_verdicts(cells, energy_means, delay_means,
-                                       intervals_low))
+    verdicts.extend(_matching_verdicts(cells, means, *grids["low"]))
     exit_code = 1 if any(v.status == "FAIL" for v in verdicts) else 0
     return verdicts, exit_code
 
 
-_METRIC_GETTERS = {
-    "energy": lambda r: r.energy_mJ,
-    "delay": lambda r: r.mean_delay_s,
-}
-
-
-def _matching_verdicts(cells, energy_means, delay_means, intervals):
+def _matching_verdicts(cells, means, intervals, pairs):
     verdicts = []
     for arrival, matched in MATCHED_POLLING.items():
-        keys = [k for k in cells if k[0] == "low" and k[1] == arrival]
+        pollings = [p for a, p in pairs if a == arrival]
         reason = None
-        if not keys:
+        if not pollings:
             reason = "not evaluated (no rows)"
-        elif not any(k[2] == matched for k in keys):
+        elif matched not in pollings:
             reason = f"not evaluated (no {matched} rows)"
-        elif not any(k[2] != matched for k in keys):
+        elif len(pollings) < 2:
             reason = "not evaluated (no rival polling rows)"
         if reason:
             for metric in _METRIC_GETTERS:
@@ -484,39 +493,27 @@ def _matching_verdicts(cells, energy_means, delay_means, intervals):
                                         "SKIP", reason))
             continue
         for interval in intervals:
+            contenders = [("low", arrival, p, interval) for p in pollings]
             matched_key = ("low", arrival, matched, interval)
-            if matched_key not in cells:
-                continue
-            contenders = [k for k in cells
-                          if k[0] == "low" and k[1] == arrival
-                          and k[3] == interval]
-            if len(contenders) < 2:
-                continue
-            for metric, means in (("energy", energy_means),
-                                  ("delay", delay_means)):
-                matched_mean = means[matched_key]
-                best_key = min(contenders, key=lambda k: means[k])
-                best_mean = means[best_key]
-                ok = matched_mean <= best_mean * (1 + _REL_TIE_TOL) + 1e-12
+            for metric, metric_means in means.items():
+                matched_mean = metric_means[matched_key]
+                best_key = min(contenders, key=lambda k: metric_means[k])
+                best_mean = metric_means[best_key]
+                ok = _no_worse(matched_mean, best_mean)
                 detail = (f"{matched} {matched_mean:.3f} vs best "
                           f"{best_key[2]} {best_mean:.3f}")
                 if not ok and arrival == "bursty":
                     # adaptive polling is allowed to tie the winner
                     # statistically rather than beat it outright
-                    hw = _cell_half_width(cells[best_key], metric)
-                    if hw is not None and matched_mean <= best_mean + hw:
+                    get = _METRIC_GETTERS[metric]
+                    hw = _half_width([get(r) for r in cells[best_key]])
+                    if matched_mean <= best_mean + hw:
                         ok = True
                         detail += f" (inside 95% ci half-width {hw:.3f})"
                 verdicts.append(Verdict(
                     f"low-matched-{metric}", f"{arrival}@{interval:g}",
                     "PASS" if ok else "FAIL", detail))
     return verdicts
-
-
-def _cell_half_width(rows, metric) -> float | None:
-    if len(rows) < 2:
-        return None
-    return summarize([_METRIC_GETTERS[metric](r) for r in rows]).ci_half_width
 
 
 def format_report(rows: list[RunMetrics]) -> str:
@@ -528,33 +525,28 @@ def format_report(rows: list[RunMetrics]) -> str:
         cell = cells[key]
         energies = [r.energy_mJ for r in cell]
         delays = [r.mean_delay_s for r in cell]
-        e_hw = d_hw = float("nan")
-        if len(cell) >= 2:
-            e_hw = summarize(energies).ci_half_width
-            d_hw = summarize(delays).ci_half_width
         lines.append(
             f"{key[0]:8s} {key[1]:8s} {key[2]:14s} {key[3]:8g} "
-            f"{len(cell):4d} {_mean(energies):14.2f} {e_hw:10.2f} "
-            f"{_mean(delays):10.4f} {d_hw:8.4f}")
+            f"{len(cell):4d} {_mean(energies):14.2f} "
+            f"{_half_width(energies):10.2f} "
+            f"{_mean(delays):10.4f} {_half_width(delays):8.4f}")
     return "\n".join(lines)
 
 
 # -- entry points ----------------------------------------------------------
 
 
-def _add_common_low_flags(sub):
-    sub.add_argument("--arrival", choices=["cbr", "poisson", "bursty"],
-                     default="cbr")
+def _add_run_flags(sub, arrivals, pollings):
+    """Flags of a single run, shared by `high` and `low`."""
+    sub.add_argument("--arrival", choices=arrivals, default="cbr")
     sub.add_argument("--arrival-mean", type=float, default=None,
                      help="mean inter-arrival time in seconds")
-    sub.add_argument("--polling",
-                     choices=["deterministic", "exponential", "dynamic"],
-                     default="deterministic")
+    sub.add_argument("--polling", choices=pollings, default="deterministic")
     sub.add_argument("--poll-mean", type=float, default=10.0,
                      help="mean poll interval in seconds")
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--config", default=None,
-                     help="INI file with frame/radio/mac overrides")
+                     help="INI file with experiment config overrides")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -564,17 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     high = subs.add_parser("high", help="one abstract byte-cost run")
-    high.add_argument("--arrival", choices=["cbr", "poisson"], default="cbr")
-    high.add_argument("--arrival-mean", type=float, default=None)
-    high.add_argument("--polling", choices=["deterministic", "exponential"],
-                      default="deterministic")
-    high.add_argument("--poll-mean", type=float, default=10.0)
-    high.add_argument("--horizon", type=float, default=None)
-    high.add_argument("--seed", type=int, default=1)
-    high.add_argument("--config", default=None)
+    _add_run_flags(high, *_HIGH_KINDS)
+    high.add_argument("--horizon", type=float, default=None,
+                      help="simulated time in seconds")
 
     low = subs.add_parser("low", help="one radio-level run")
-    _add_common_low_flags(low)
+    _add_run_flags(low, *_LOW_KINDS)
     low.add_argument("--nodes", type=int, default=None)
     low.add_argument("--packets", type=int, default=None)
     low.add_argument("--trace", default=None,

@@ -94,16 +94,6 @@ def _average_ranks(values) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def _spearman(xs, ys) -> float:
-    if np.isnan(xs).any() or np.isnan(ys).any():
-        return math.nan
-    ranks = np.vstack([_average_ranks(xs), _average_ranks(ys)])
-    # a constant series has no rank spread, and the 0/0 it meets is the
-    # nan that trend_direction reads as FLAT
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.corrcoef(ranks)[1, 0])
-
-
 class Trend(str, Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
@@ -116,14 +106,7 @@ def trend_direction(points, threshold: float = 0.8) -> Trend:
     rho <= -threshold, flat otherwise (including undefined rho on ties)."""
     if not 0 < threshold <= 1:
         raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
-    pts = list(points)
-    xs = np.asarray([p[0] for p in pts], dtype=float)
-    ys = np.asarray([p[1] for p in pts], dtype=float)
-    if np.unique(xs).size < 3:
-        raise ParameterError("need at least 3 distinct x values")
-    rho = _spearman(xs, ys)
-    if np.isnan(rho):
-        return Trend.FLAT
+    rho = spearman_rho(points)
     if rho >= threshold:
         return Trend.INCREASING
     if rho <= -threshold:
@@ -138,7 +121,13 @@ def spearman_rho(points) -> float:
     ys = np.asarray([p[1] for p in pts], dtype=float)
     if np.unique(xs).size < 3:
         raise ParameterError("need at least 3 distinct x values")
-    return _spearman(xs, ys)
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return math.nan
+    ranks = np.vstack([_average_ranks(xs), _average_ranks(ys)])
+    # a constant series has no rank spread, and the 0/0 it meets is the
+    # nan that trend_direction reads as FLAT
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks)[1, 0])
 
 
 @dataclass(frozen=True)

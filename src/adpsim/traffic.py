@@ -62,15 +62,14 @@ def generate_arrivals(model: ArrivalModel,
     if model.kind is not ArrivalKind.CBR and rng is None:
         raise ParameterError(f"{model.kind.value} arrivals need an rng")
 
-    limit = count_limit if count_limit is not None else None
     horizon = horizon_s if horizon_s is not None else float("inf")
 
     if model.kind is ArrivalKind.CBR:
-        times = _cbr_times(model.mean_interval_s, horizon, limit)
+        times = _cbr_times(model.mean_interval_s, horizon, count_limit)
     elif model.kind is ArrivalKind.POISSON:
-        times = _poisson_times(model.mean_interval_s, horizon, limit, rng)
+        times = _poisson_times(model.mean_interval_s, horizon, count_limit, rng)
     else:
-        times = _bursty_times(model, horizon, limit, rng)
+        times = _bursty_times(model, horizon, count_limit, rng)
     return ArrivalTimeline(node_id=node_id, model=model, timestamps_s=tuple(times))
 
 

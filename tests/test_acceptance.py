@@ -5,6 +5,10 @@ records a one-line verdict (printed in the terminal summary). Everything
 here is deterministic: seeds derive from the default master seed, so a
 criterion that passes or fails does so identically on every machine.
 
+The fixtures run the cells of the default sweep as `sweep_cells` lists
+them, and criteria 2-5 read their verdicts from `compare_runs`, the code
+behind `adpsim compare`: the grid and the claim rules have one copy.
+
 Every simulation run goes through the checked_* wrappers, which enforce
 the accounting invariants (packet conservation, radio-time closure,
 energy decomposition) on each run; criterion 8 reports that audit and
@@ -14,6 +18,7 @@ import csv
 import dataclasses
 import io
 import time
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -21,14 +26,16 @@ import pytest
 from adpsim.cli import (
     MATCHED_POLLING,
     ExperimentConfig,
+    compare_runs,
     run_seed,
     run_sweep,
+    sweep_cells,
     write_runs_csv,
 )
 from adpsim.core import PollingKind
 from adpsim.highsim import run_high_level, superpacket_energy
 from adpsim.lowsim import run_low_level
-from adpsim.stats import Trend, spearman_rho, summarize, trend_direction
+from adpsim.stats import Trend, summarize, trend_direction
 
 EXP = ExperimentConfig()
 GRID = EXP.sweep.poll_intervals_s
@@ -65,59 +72,53 @@ def checked_high(config, seed):
     return res
 
 
-def _mean_points(cells, arrival, polling, get):
-    return [(i, float(np.mean([get(r) for r in cells[(arrival, polling, i)]])))
-            for i in GRID]
+def _checked_cells(keep):
+    """The default sweep's cells that `keep` accepts, each run through the
+    audited wrappers: {(fidelity, arrival, polling, interval): rows}."""
+    cells = {}
+    for cell in filter(keep, sweep_cells(EXP)):
+        check = checked_high if cell.fidelity == "high" else checked_low
+        cells[cell[:4]] = [cell.row(rep, check(cell.config, seed))
+                           for rep, seed in enumerate(cell.seeds)]
+    return cells
 
 
-_ENERGY_LOW = lambda r: r.total_energy_mJ  # noqa: E731
-_DELAY = lambda r: r.mean_delay_s  # noqa: E731
+def _is_matched(cell):
+    return MATCHED_POLLING[cell.arrival] == cell.polling
 
 
 @pytest.fixture(scope="module")
 def high_cells():
     t0 = time.perf_counter()
-    cells = {}
-    for arrival in ("cbr", "poisson"):
-        for polling in ("deterministic", "exponential"):
-            reps = 1 if (arrival, polling) == ("cbr", "deterministic") \
-                else EXP.sweep.high_runs_per_cell
-            for interval in GRID:
-                config = EXP.high_config(arrival, polling, interval)
-                cells[(arrival, polling, interval)] = [
-                    checked_high(config, run_seed(EXP.sweep.master_seed, "high",
-                                                        arrival, interval, rep))
-                    for rep in range(reps)]
+    cells = _checked_cells(lambda c: c.fidelity == "high")
     return cells, time.perf_counter() - t0
-
-
-def _low_cell(arrival, polling, interval):
-    config = EXP.low_config(arrival, polling, interval)
-    return [checked_low(config, run_seed(EXP.sweep.master_seed, "low", arrival,
-                                               interval, rep))
-            for rep in range(EXP.sweep.low_runs_per_cell)]
 
 
 @pytest.fixture(scope="module")
 def low_matched_cells():
     t0 = time.perf_counter()
-    cells = {(arrival, MATCHED_POLLING[arrival], interval):
-             _low_cell(arrival, MATCHED_POLLING[arrival], interval)
-             for arrival in ("cbr", "poisson", "bursty") for interval in GRID}
+    cells = _checked_cells(lambda c: c.fidelity == "low" and _is_matched(c))
     return cells, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def low_all_cells(low_matched_cells):
-    cells = dict(low_matched_cells[0])
-    for arrival in ("cbr", "poisson", "bursty"):
-        for polling in ("deterministic", "exponential", "dynamic"):
-            if MATCHED_POLLING[arrival] == polling:
-                continue
-            for interval in GRID:
-                cells[(arrival, polling, interval)] = \
-                    _low_cell(arrival, polling, interval)
-    return cells
+    return {**low_matched_cells[0], **_checked_cells(
+        lambda c: c.fidelity == "low" and not _is_matched(c))}
+
+
+@pytest.fixture(scope="module")
+def verdicts(high_cells, low_all_cells):
+    """compare_runs' verdicts on the checked runs, by (check, subject)."""
+    def rows(cells):
+        return [r for cell_rows in cells.values() for r in cell_rows]
+    found, _ = compare_runs(rows(high_cells[0]), rows(low_all_cells))
+    return {(v.check, v.subject): v for v in found}
+
+
+def _rho(verdict):
+    # a trend verdict's detail opens with "rho=<value>"
+    return float(verdict.detail.split()[0].removeprefix("rho="))
 
 
 def test_criterion_1_closed_form_byte_cost_runs(criterion):
@@ -148,68 +149,48 @@ def test_criterion_1_closed_form_byte_cost_runs(criterion):
     assert elapsed < 1.0
 
 
-def test_criterion_2_byte_cost_trends(high_cells, criterion):
+def _trend_rhos(verdicts, fidelity, arrival, polling):
+    """The rho of one (arrival, polling) group's energy and delay trend
+    verdicts, and the lines of those that did not pass."""
+    pair = [verdicts[(f"{fidelity}-{metric}-vs-interval", f"{arrival}/{polling}")]
+            for metric in ("energy", "delay")]
+    return [_rho(v) for v in pair], [v.line() for v in pair if v.status != "PASS"]
+
+
+def test_criterion_2_byte_cost_trends(high_cells, verdicts, criterion):
     cells, elapsed = high_cells
     bad, parts = [], []
-    for arrival in ("cbr", "poisson"):
-        for polling in ("deterministic", "exponential"):
-            e_pts = _mean_points(cells, arrival, polling, _ENERGY_LOW)
-            d_pts = _mean_points(cells, arrival, polling, _DELAY)
-            e_rho, d_rho = spearman_rho(e_pts), spearman_rho(d_pts)
-            parts.append(f"{arrival}/{polling} rho_e={e_rho:+.2f} "
-                         f"rho_d={d_rho:+.2f}")
-            if trend_direction(e_pts) is not Trend.DECREASING:
-                bad.append(f"{arrival}/{polling} energy rho={e_rho:+.3f}")
-            if trend_direction(d_pts) is not Trend.INCREASING:
-                bad.append(f"{arrival}/{polling} delay rho={d_rho:+.3f}")
+    for arrival, polling in sorted({key[1:3] for key in cells}):
+        (e_rho, d_rho), failed = _trend_rhos(verdicts, "high", arrival, polling)
+        parts.append(f"{arrival}/{polling} rho_e={e_rho:+.2f} rho_d={d_rho:+.2f}")
+        bad += failed
     ok = not bad and elapsed < 10.0
     criterion(2, ok, f"{'; '.join(parts)} ({elapsed:.1f} s)")
     assert not bad, "; ".join(bad)
     assert elapsed < 10.0
 
 
-def test_criterion_3_byte_cost_polling_order(high_cells, criterion):
-    cells, _ = high_cells
-    bad = []
-    for arrival in ("cbr", "poisson"):
-        for interval in GRID:
-            e_det = float(np.mean([r.total_energy_mJ
-                                   for r in cells[(arrival, "deterministic",
-                                                   interval)]]))
-            e_exp = float(np.mean([r.total_energy_mJ
-                                   for r in cells[(arrival, "exponential",
-                                                   interval)]]))
-            d_det = float(np.mean([r.mean_delay_s
-                                   for r in cells[(arrival, "deterministic",
-                                                   interval)]]))
-            d_exp = float(np.mean([r.mean_delay_s
-                                   for r in cells[(arrival, "exponential",
-                                                   interval)]]))
-            if e_exp > e_det * (1 + 1e-9):
-                bad.append(f"{arrival}@{interval:g} energy exp {e_exp:.1f} "
-                           f"> det {e_det:.1f}")
-            if d_det > d_exp * (1 + 1e-9):
-                bad.append(f"{arrival}@{interval:g} delay det {d_det:.3f} "
-                           f"> exp {d_exp:.3f}")
+def test_criterion_3_byte_cost_polling_order(verdicts, criterion):
+    checked = [v for (check, _), v in verdicts.items()
+               if check == "high-polling-order"]
+    bad = [v.line() for v in checked if v.status != "PASS"]
     criterion(3, not bad,
               "exponential cheapest and deterministic fastest at all "
-              f"{2 * len(GRID)} interval points" if not bad
+              f"{len(checked)} interval points" if not bad
               else f"{len(bad)} violations: {'; '.join(bad[:3])}")
+    assert len(checked) == 2 * len(GRID)
     assert not bad, "; ".join(bad)
 
 
-def test_criterion_4_radio_trends_on_matched_cells(low_matched_cells,
+def test_criterion_4_radio_trends_on_matched_cells(low_matched_cells, verdicts,
                                                    criterion):
-    cells, elapsed = low_matched_cells
+    _, elapsed = low_matched_cells
     bad, parts = [], []
-    for arrival in ("cbr", "poisson", "bursty"):
-        polling = MATCHED_POLLING[arrival]
-        for metric, get in (("energy", _ENERGY_LOW), ("delay", _DELAY)):
-            pts = _mean_points(cells, arrival, polling, get)
-            rho = spearman_rho(pts)
-            parts.append(f"{arrival}/{metric} rho={rho:+.2f}")
-            if trend_direction(pts) is not Trend.INCREASING:
-                bad.append(f"{arrival}/{polling} {metric} rho={rho:+.3f}")
+    for arrival, polling in MATCHED_POLLING.items():
+        rhos, failed = _trend_rhos(verdicts, "low", arrival, polling)
+        parts += [f"{arrival}/{metric} rho={rho:+.2f}"
+                  for metric, rho in zip(("energy", "delay"), rhos)]
+        bad += failed
     ok = not bad and elapsed < 120.0
     criterion(4, ok, f"{'; '.join(parts)} ({elapsed:.0f} s)")
     assert not bad, "; ".join(bad)
@@ -220,8 +201,8 @@ def _no_worse(cells, arrival, interval, get, polling, rival):
     """Whether `polling` has a mean no larger than `rival` in one radio
     cell: up to a relative tie of 1e-9, and for bursty traffic also within
     the 95% CI half-width of the rival cell (a statistical tie)."""
-    rows, rival_rows = (cells[(arrival, polling, interval)],
-                        cells[(arrival, rival, interval)])
+    rows, rival_rows = (cells[("low", arrival, polling, interval)],
+                        cells[("low", arrival, rival, interval)])
     mean = float(np.mean([get(r) for r in rows]))
     rival_mean = float(np.mean([get(r) for r in rival_rows]))
     ok = mean <= rival_mean * (1 + 1e-9) + 1e-12
@@ -231,39 +212,35 @@ def _no_worse(cells, arrival, interval, get, polling, rival):
     return ok, mean, rival_mean
 
 
-def test_criterion_5_matched_polling_is_best(low_all_cells, criterion):
+def test_criterion_5_matched_polling_is_best(low_all_cells, verdicts,
+                                             criterion):
     # The claim that the polling kind matched to each traffic shape is best
     # does not hold in the radio model. Polls do not depend on arrivals, so
     # the mean wait to the next poll is the residual life E[X^2]/(2 E[X]):
     # p/2 for deterministic spacing and p for exponential spacing, whatever
     # the arrivals. Delay follows that wait, and so does strobe energy while
-    # the sink keeps up. Assert that ordering; report the matched tally.
-    cells = low_all_cells
-    kinds = ("deterministic", "exponential", "dynamic")
+    # the sink keeps up. Assert that ordering; report compare_runs' tally
+    # of the matched claim.
     # the sink serves one source per wake: at load rho >= 1 queues build up
     # and the waiting-time argument no longer bounds energy
     unsaturated = [i for i in GRID
                    if (EXP.low.node_count - 1) * i / EXP.low.arrival_mean_s < 1]
-    order_checks = [("delay", _DELAY, i) for i in GRID] + \
-        [("energy", _ENERGY_LOW, i) for i in unsaturated]
+    delay, energy = attrgetter("mean_delay_s"), attrgetter("energy_mJ")
+    order_checks = [("delay", delay, i) for i in GRID] + \
+        [("energy", energy, i) for i in unsaturated]
     violations = []
-    for arrival in ("cbr", "poisson", "bursty"):
+    for arrival in MATCHED_POLLING:
         for metric, get, interval in order_checks:
-            ok, det, exp_ = _no_worse(cells, arrival, interval, get,
+            ok, det, exp_ = _no_worse(low_all_cells, arrival, interval, get,
                                       "deterministic", "exponential")
             if not ok:
                 violations.append(f"{arrival}/{metric}@{interval:g} "
                                   f"deterministic {det:.2f} > exponential "
                                   f"{exp_:.2f}")
 
-    matched_best = 0
-    for arrival, matched in MATCHED_POLLING.items():
-        for interval in GRID:
-            for get in (_ENERGY_LOW, _DELAY):
-                best = min(kinds, key=lambda p: np.mean(
-                    [get(r) for r in cells[(arrival, p, interval)]]))
-                matched_best += _no_worse(cells, arrival, interval, get,
-                                          matched, best)[0]
+    matched = [v for (check, _), v in verdicts.items()
+               if check.startswith("low-matched-")]
+    matched_best = sum(v.status == "PASS" for v in matched)
 
     checked = 3 * len(order_checks)
     criterion(5, not violations,
@@ -271,9 +248,10 @@ def test_criterion_5_matched_polling_is_best(low_all_cells, criterion):
               f"{checked - len(violations)}/{checked} cells (delay at every "
               f"interval, energy at {GRID[0]:g}..{unsaturated[-1]:g} s "
               f"below saturation); matched polling best in "
-              f"{matched_best}/{3 * len(GRID) * 2} cells"
+              f"{matched_best}/{len(matched)} cells"
               + (f"; first violations: {'; '.join(violations[:3])}"
                  if violations else ""))
+    assert len(matched) == 2 * len(MATCHED_POLLING) * len(GRID)
     assert not violations, "\n".join(violations)
 
 

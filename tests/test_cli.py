@@ -351,6 +351,19 @@ def test_compare_bursty_clear_loss_fails():
     assert code == 1
 
 
+@pytest.mark.parametrize("gap, status", [(5e-10, "PASS"), (1e-8, "FAIL")])
+def test_compare_polling_order_delay_tie_is_relative(gap, status):
+    # deterministic delay a relative `gap` above exponential, at 11-14 s:
+    # the tie is a relative 1e-9 on delay as on energy, not 1e-9 seconds
+    high = _high_rows(
+        energy_at=lambda p, i: 100.0 - 5.0 * i - (1.0 if p == "exponential" else 0.0),
+        delay_at=lambda p, i: (10.0 + i) * (1 + gap if p == "deterministic" else 1))
+    verdicts, _ = compare_runs(high, _good_low())
+    order = [v for v in verdicts if v.check == "high-polling-order"]
+    assert len(order) == 8
+    assert all(v.status == status for v in order), [v.line() for v in order]
+
+
 # -- entry point ------------------------------------------------------------
 
 
@@ -554,24 +567,49 @@ rate_factor = 8
 
 
 def _sweep_digest(tmp_path, *args) -> str:
+    """Digest of the combined runs CSV; the sweep also writes high.csv and
+    low.csv next to it for `compare`."""
     out = tmp_path / "runs.csv"
-    assert main(["sweep", "--out", str(out), *args]) == 0
+    assert main(["sweep", "--out", str(out),
+                 "--out-high", str(tmp_path / "high.csv"),
+                 "--out-low", str(tmp_path / "low.csv"), *args]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def test_default_sweep_csv_is_byte_stable(tmp_path):
+def _report_and_compare_digests(tmp_path, capsys) -> tuple[str, str]:
+    """Digests of `report` and `compare` stdout on the last sweep's CSVs.
+    Two intervals are too few for a trend, and these grids break some
+    ordering claims, so `compare` exits 1."""
+    digests = []
+    for argv, code in ((["report", str(tmp_path / "runs.csv")], 0),
+                       (["compare", "--high", str(tmp_path / "high.csv"),
+                         "--low", str(tmp_path / "low.csv")], 1)):
+        capsys.readouterr()
+        assert main(argv) == code
+        digests.append(hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest())
+    return tuple(digests)
+
+
+def test_default_sweep_csv_is_byte_stable(tmp_path, capsys):
     # default config on a two-interval grid, one radio run per cell: 140 rows
     assert _sweep_digest(tmp_path, "--grid", "1 2", "--runs", "1") == (
         "285f3461bf8198c978882a488aec703ea124fd15a971c661f9607a91569c1b2b")
+    assert _report_and_compare_digests(tmp_path, capsys) == (
+        "9e090e343f7230aca9c5264e6573c1ce5443e54d1f026c4ebe79bcbaeb4a3859",
+        "abd4491df5e2c117bc2ceeb547e969179116ae49a1338ba8e1698688d26cdb0a")
 
 
-def test_every_ini_key_reaches_the_sweep(tmp_path):
+def test_every_ini_key_reaches_the_sweep(tmp_path, capsys):
     # a key wired into the wrong component changes the digest, which a
     # config holding only default values cannot show
     ini = tmp_path / "exp.ini"
     ini.write_text(_EVERY_KEY_INI)
     assert _sweep_digest(tmp_path, "--config", str(ini)) == (
         "7f4bf3fc6597f91fc03561f766b97d1e16ee6586637b45908f263a227463f918")
+    assert _report_and_compare_digests(tmp_path, capsys) == (
+        "68e7db261821e1513480b6862246e2d21c466ca2249852cf838fe0da6eb3e326",
+        "e8fdc3f1574fe7d4ae1699d0d41162832267fd5664525b6c9dbf89eaff6d1724")
 
 
 def test_energy_and_radio_keys_reach_the_sweep(tmp_path):
