@@ -14,15 +14,19 @@ instant is rounded to ticks once, when the simulation is set up, so sums of
 times are exact and two events due at the same instant share one tick. Such
 events run in the order of a fixed rank per event kind (EventKind.rank),
 then node id, then push order; the results report seconds.
+
+A strobe train's deadline is not an event: the ends of the train's frames
+check it. A block-ACK timeout is an event, but only once the data frame or
+its block ACK is lost. The event count and its limit count heap events.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import islice
 
 from .core import (
@@ -92,7 +96,7 @@ class FrameKind(Enum):
 
 
 class EventKind(Enum):
-    """An event: `handler` names the _Simulation method that runs it, and
+    """An event: `handler` is the _Simulation method that runs it, and
     `rank` orders the events due at the same tick, lowest first.
 
     Ranks: a cycle is [start, end), so what happens on its end tick is the
@@ -101,13 +105,16 @@ class EventKind(Enum):
     (1). A frame that ends on its sender's deadline tick finished in time
     (2). Channel assessments and polls sense the air after every frame
     change on their tick; none registers a frame that starts on it, so
-    their mutual order cannot change what any of them senses (3)."""
+    their mutual order cannot change what any of them senses (3).
+
+    A strobe deadline is no event: strobe and early-ACK ends check it and
+    time out when it is before their tick, as if it ranked 2. A block-ACK
+    timeout is pushed only once the data frame or its block ACK is lost."""
 
     def __new__(cls, value: str, rank: int) -> EventKind:
         kind = object.__new__(cls)
         kind._value_ = value
         kind.rank = rank
-        kind.handler = "_on_" + value
         return kind
 
     PACKET_GENERATED = "packet_generated", 3
@@ -117,7 +124,7 @@ class EventKind(Enum):
     DATA_TX_END = "data_tx_end", 1
     ACK_TX_END = "ack_tx_end", 1
     BACKOFF_EXPIRED = "backoff_expired", 3
-    STROBE_TIMEOUT = "strobe_timeout", 2
+    BLOCK_ACK_TIMEOUT = "block_ack_timeout", 2
     CYCLE_BOUNDARY = "cycle_boundary", 0
 
 
@@ -134,7 +141,7 @@ _DATA, _BLOCK_ACK = FrameKind.DATA, FrameKind.BLOCK_ACK
 _PACKET_GENERATED, _POLL_START = EventKind.PACKET_GENERATED, EventKind.POLL_START
 _STROBE_TX_END, _EARLY_ACK_TX_END = EventKind.STROBE_TX_END, EventKind.EARLY_ACK_TX_END
 _DATA_TX_END, _ACK_TX_END = EventKind.DATA_TX_END, EventKind.ACK_TX_END
-_BACKOFF_EXPIRED, _STROBE_TIMEOUT = EventKind.BACKOFF_EXPIRED, EventKind.STROBE_TIMEOUT
+_BACKOFF_EXPIRED, _BLOCK_ACK_TIMEOUT = EventKind.BACKOFF_EXPIRED, EventKind.BLOCK_ACK_TIMEOUT
 _CYCLE_BOUNDARY = EventKind.CYCLE_BOUNDARY
 _DETERMINISTIC, _EXPONENTIAL = PollingKind.DETERMINISTIC, PollingKind.EXPONENTIAL
 _DYNAMIC = PollingKind.DYNAMIC
@@ -272,7 +279,10 @@ class Channel:
         return not frame.collided
 
     def activity_overlapping(self, start: int, end: int) -> bool:
-        return any(f.start < end and start < f.end for f in self._active)
+        for f in self._active:
+            if f.start < end and start < f.end:
+                return True
+        return False
 
 
 @dataclass(slots=True, eq=False)
@@ -285,11 +295,10 @@ class _Node:
     queue: deque = field(default_factory=deque)
     retry_count: int = 0
     head_sent: bool = False
-    timed_out: bool = False
     lock: Frame | None = None
     strobe_tx: int = 0
     strobe_count: int = 0
-    timeout_at: int | None = None  # the armed strobe or block-ACK timeout
+    timeout_at: int | None = None  # the strobe train's or block ACK's deadline
     backoff_until: int = 0
     draw_window: int = 0
     draw_cursor: int = 0
@@ -392,7 +401,7 @@ class _Simulation:
     def _push(self, tick: int, node_id: int, kind: EventKind,
               item: Frame | Packet | None = None) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (tick, kind.rank, node_id, self.seq, kind, item))
+        heappush(self.heap, (tick, kind.rank, node_id, self.seq, kind, item))
 
     def _charge(self, node: _Node, state: RadioState, until: int) -> None:
         span = until - node.radio_since
@@ -419,13 +428,11 @@ class _Simulation:
             return
         node.mode = _STROBE_SENDING
         node.radio = _RADIO_LISTEN
-        node.timed_out = False
         strobe = Frame(node.node_id, 0, _STROBE,
                        cca_end, cca_end + self.strobe_air)
         self.channel.register(strobe)
         self._push(strobe.end, node.node_id, _STROBE_TX_END, strobe)
         node.timeout_at = cca_end + self.strobe_timeout
-        self._push(node.timeout_at, node.node_id, _STROBE_TIMEOUT)
 
     def _draw_backoff_slots(self, node: _Node) -> int:
         """Backoff slots for the node's next attempt, uniform on 1..window,
@@ -464,8 +471,6 @@ class _Simulation:
         self._push(node.backoff_until, node.node_id, _BACKOFF_EXPIRED)
 
     def _enter_retry(self, now: int, node: _Node) -> None:
-        node.timeout_at = None
-        node.timed_out = False
         node.lock = None
         self._settle(node, now)
         node.retry_count += 1
@@ -538,16 +543,22 @@ class _Simulation:
 
     def _on_strobe_tx_end(self, now: int, node_id: int, strobe: Frame) -> str:
         node = self.nodes[node_id]
-        delivered = self.channel.resolve(strobe)
-        self._charge(node, _RADIO_LISTEN, strobe.start)
-        self._charge(node, _RADIO_TX, now)
-        node.strobe_tx += now - strobe.start
-        node.strobe_count += 1
         if node.mode is not _STROBE_SENDING:
             raise SimulationIntegrityError(
                 f"strobe end for node {node.node_id} in mode {node.mode}")
+        delivered = self.channel.resolve(strobe)
+        # _charge inlined: listening up to the strobe, then its airtime
+        listen = strobe.start - node.radio_since
+        if listen < 0:
+            raise SimulationIntegrityError(
+                f"node {node.node_id}: charge of {listen} ticks ends before it starts")
+        air = now - strobe.start
+        node.residency[_RADIO_LISTEN.index] += listen
+        node.residency[_RADIO_TX.index] += air
+        node.radio_since = now
+        node.strobe_tx += air
+        node.strobe_count += 1
 
-        ea: Frame | None = None
         sink = self.sink
         if (delivered
                 and sink.mode in (_POLLING, _RX_PENDING)
@@ -559,12 +570,10 @@ class _Simulation:
                        now, now + self.early_ack_air)
             self.channel.register(ea)
             self._push(ea.end, 0, _EARLY_ACK_TX_END, ea)
-
-        if ea is not None:
             node.mode = _AWAIT_EARLY_ACK
             node.lock = ea
             return "answered"
-        if node.timed_out:
+        if node.timeout_at < now:
             self._enter_retry(now, node)
             return "timed out"
         self._continue_strobing(now, node)
@@ -583,8 +592,6 @@ class _Simulation:
         part of the pattern the backoff replay reads."""
         next_start = now + self.ea_wait
         if self.channel.activity_overlapping(next_start, next_start + self.strobe_air):
-            node.timeout_at = None
-            node.timed_out = False
             self._start_backoff(now, node)
             return
         strobe = Frame(node.node_id, 0, _STROBE,
@@ -595,34 +602,37 @@ class _Simulation:
         strobe.end += shift
         self._push(strobe.end, node.node_id, _STROBE_TX_END, strobe)
 
-    def _next_fixed_event(self) -> int:
-        """Earliest moment the steady strobing regime can change from the
-        outside: a poll, a packet arrival, a strobe timeout, or a
-        polling-adaptation boundary. Backoff expiries are not in this set;
-        _replay_backoffs finds the first one that can change the regime."""
-        t = self.next_poll
-        if self.generated < len(self.arrival_ticks):
-            t = min(t, self.arrival_ticks[self.generated])
-        if self.next_cycle is not None:
-            t = min(t, self.next_cycle)
-        for other in self.nodes[1:]:
-            if other.mode is _STROBE_SENDING and other.timeout_at < t:
-                t = other.timeout_at
-        return t
+    def _steady_horizon(self, now: int) -> int | None:
+        """None outside the quiet strobing regime, in which both fast paths
+        run: the sink asleep and nothing on the air but clean strobe trains
+        from senders whose deadlines lie past `now`. Inside it, the earliest
+        tick at which the regime can change from the outside: a poll, a
+        packet arrival, a polling-adaptation boundary or a strobe deadline.
+        Backoff expiries are not in this set; _replay_backoffs finds the
+        first one that can change the regime.
 
-    def _steady_trains(self) -> bool:
-        """Whether the network is in its quiet strobing regime: sink asleep
-        and nothing on the air but clean strobe trains from senders that
-        have not timed out. Both fast paths run only inside it."""
+        Only a strobing sender owns a strobe, and inside the regime each
+        strobing sender owns exactly one registered strobe, so the frames
+        give every deadline. A deadline on the `now` tick counts as passed.
+        Seen from a strobe end it has not passed yet (EventKind), but then
+        the horizon would be `now` and neither fast path could act."""
         if self.sink.mode is not _SLEEP:
-            return False
+            return None
+        horizon = self.next_poll
+        nodes = self.nodes
         for frame in self.channel._active:
             if frame.collided or frame.kind is not _STROBE:
-                return False
-            owner = self.nodes[frame.sender]
-            if owner.mode is not _STROBE_SENDING or owner.timed_out:
-                return False
-        return True
+                return None
+            deadline = nodes[frame.sender].timeout_at
+            if deadline <= now:
+                return None
+            if deadline < horizon:
+                horizon = deadline
+        if self.generated < len(self.arrival_ticks):
+            horizon = min(horizon, self.arrival_ticks[self.generated])
+        if self.next_cycle is not None:
+            horizon = min(horizon, self.next_cycle)
+        return horizon
 
     def _replay_backoffs(self, horizon: int) -> int:
         """Where the steady regime ends: the first backoff attempt, over all
@@ -740,10 +750,8 @@ class _Simulation:
         other frame is touched: each train skips its own cycles at its own
         strobe end. Because no strobe is moved past the regime end, the
         registry is exact again whenever the regime ends."""
-        if not self._steady_trains():
-            return 0
-        horizon = self._next_fixed_event()
-        if (horizon - now) // self.strobe_cycle < 2:
+        horizon = self._steady_horizon(now)
+        if horizon is None or (horizon - now) // self.strobe_cycle < 2:
             return 0  # no jump fits, so the replay would be wasted work
         cycles = (self._replay_backoffs(horizon) - now) // self.strobe_cycle - 1
         if cycles < 1:
@@ -767,12 +775,11 @@ class _Simulation:
         target.lock = None
         if not delivered:
             self._settle(target, now)
-            if target.timed_out:
+            if target.timeout_at < now:
                 self._enter_retry(now, target)
                 return "garbled, retry"
             if self.channel.activity_overlapping(now, now + self.strobe_air):
                 # whatever garbled the answer is still on the air
-                target.timeout_at = None
                 self._start_backoff(now, target)
                 return "garbled, deferring"
             target.mode = _STROBE_SENDING
@@ -782,7 +789,6 @@ class _Simulation:
             self._push(strobe.end, target.node_id, _STROBE_TX_END, strobe)
             return "garbled, strobing on"
         # answer heard: the whole early ACK was reception, then data goes out
-        target.timed_out = False
         self._charge(target, _RADIO_LISTEN, ea.start)
         self._charge(target, _RADIO_RX, now)
         n_packets = min(len(target.queue), self.cfg.frames.max_concat)
@@ -797,7 +803,6 @@ class _Simulation:
             self.retransmissions += 1
         target.head_sent = True
         target.timeout_at = data.end + self.block_ack_air + 2 * self.slot
-        self._push(target.timeout_at, target.node_id, _STROBE_TIMEOUT)
         return f"data x{n_packets}"
 
     def _on_data_tx_end(self, now: int, node_id: int, data: Frame) -> str:
@@ -807,6 +812,8 @@ class _Simulation:
         node.mode = _AWAIT_BLOCK_ACK
         node.radio = _RADIO_LISTEN
         if not delivered:
+            # no block ACK will come
+            self._push(node.timeout_at, node_id, _BLOCK_ACK_TIMEOUT)
             return "collided"
         sink = self.sink
         if sink.mode is not _RX_PENDING:
@@ -842,7 +849,10 @@ class _Simulation:
         sink.radio = _RADIO_SLEEP
         self._schedule_poll(now)
         target = self.nodes[ack.target]
-        if not delivered or target.mode is not _AWAIT_BLOCK_ACK:
+        if target.mode is not _AWAIT_BLOCK_ACK:
+            return "lost"
+        if not delivered:
+            self._push(target.timeout_at, target.node_id, _BLOCK_ACK_TIMEOUT)
             return "lost"
         self._charge(target, _RADIO_LISTEN, ack.start)
         self._charge(target, _RADIO_RX, now)
@@ -850,8 +860,6 @@ class _Simulation:
             target.queue.popleft()
         target.retry_count = 0
         target.head_sent = False
-        target.timed_out = False
-        target.timeout_at = None
         if target.queue:
             self._begin_access(now, target)
         else:
@@ -866,31 +874,25 @@ class _Simulation:
                 f"backoff expiry for node {node.node_id} in mode {node.mode}")
         if now != node.backoff_until:
             return "superseded"
-        if self._steady_trains():
+        horizon = self._steady_horizon(now)
+        if horizon is not None:
             # this is the earliest attempt of any node in backoff, so the
             # replay stops on it at once if it could succeed; assessments that
             # cannot are replayed instead of paying scheduler costs for each,
             # and a moved one is back on the heap
-            self._replay_backoffs(self._next_fixed_event())
+            self._replay_backoffs(horizon)
             if node.backoff_until != now:
                 return "busy"
         self._begin_access(now, node)
         return "retrying" if node.retry_count else "accessing"
 
-    def _on_strobe_timeout(self, now: int, node_id: int, item: None) -> str:
+    def _on_block_ack_timeout(self, now: int, node_id: int, item: None) -> str:
         node = self.nodes[node_id]
-        if now != node.timeout_at:
-            return "stale"
-        if node.mode in (_STROBE_SENDING, _AWAIT_EARLY_ACK):
-            # a frame is on the air or expected; fold the retry into the
-            # next transmission-end event instead of tearing it down here
-            node.timed_out = True
-            return "flagged"
-        if node.mode is _AWAIT_BLOCK_ACK:
-            self._enter_retry(now, node)
-            return "no block ack"
-        raise SimulationIntegrityError(
-            f"live timer for node {node.node_id} in mode {node.mode}")
+        if node.mode is not _AWAIT_BLOCK_ACK:
+            raise SimulationIntegrityError(
+                f"block-ACK timeout for node {node.node_id} in mode {node.mode}")
+        self._enter_retry(now, node)
+        return "no block ack"
 
     def _on_cycle_boundary(self, now: int, node_id: int, item: None) -> str:
         estimate = cycle_cv(self.cv_window)
@@ -914,32 +916,34 @@ class _Simulation:
     # -- main loop --------------------------------------------------------
 
     def _finished(self) -> bool:
-        return (self.generated == self.expected
-                and self.pending == 0
-                and self.sink.mode is _SLEEP
-                and all(n.mode is _SLEEP and not n.queue
-                        for n in self.nodes[1:]))
+        """With every packet generated and resolved: whether all nodes sleep."""
+        return (self.sink.mode is _SLEEP
+                and all(n.mode is _SLEEP and not n.queue for n in self.nodes[1:]))
 
     def run(self) -> LowLevelResult:
-        idle_run = self.expected == 0
-        while self.heap:
-            if not idle_run and self._finished():
+        heap, trace, limit = self.heap, self.trace, self.cfg.max_events
+        expected, idle_horizon = self.expected, self.idle_horizon
+        now = count = 0
+        while heap:
+            if not expected:
+                if heap[0][0] > idle_horizon:
+                    break
+            elif self.pending == 0 and self.generated == expected and self._finished():
                 break
-            if idle_run and self.heap[0][0] > self.idle_horizon:
-                break
-            tick, _, node_id, seq, kind, item = heapq.heappop(self.heap)
-            if tick < self.now:
+            tick, _, node_id, seq, kind, item = heappop(heap)
+            if tick < now:
                 raise SimulationIntegrityError(
-                    f"event at tick {tick} before current tick {self.now}")
-            self.now = tick
-            self.event_count += 1
-            if self.event_count > self.cfg.max_events:
-                raise EventLimitError(f"exceeded {self.cfg.max_events} events "
+                    f"event at tick {tick} before current tick {now}")
+            now = tick
+            count += 1
+            if count > limit:
+                raise EventLimitError(f"exceeded {limit} events "
                                       f"at t={tick / TICKS_PER_S} s")
-            detail = getattr(self, kind.handler)(tick, node_id, item)
-            if self.trace is not None:
-                self.trace.writerow([repr(tick / TICKS_PER_S), seq, node_id,
-                                     kind.value, detail])
+            detail = kind.handler(self, tick, node_id, item)
+            if trace is not None:
+                trace.writerow([repr(tick / TICKS_PER_S), seq, node_id,
+                                kind.value, detail])
+        self.now, self.event_count = now, count
         return self._build_result()
 
     def _build_result(self) -> LowLevelResult:
@@ -994,6 +998,12 @@ class _Simulation:
             event_count=self.event_count,
             seed=self.seed,
         )
+
+
+# the method each event kind runs, read once per event by run()
+for _kind in EventKind:
+    _kind.handler = getattr(_Simulation, "_on_" + _kind.value)
+del _kind
 
 
 def _default_timelines(config: LowLevelConfig, seed: int) -> list[ArrivalTimeline]:

@@ -2,9 +2,11 @@
 contention, retries, and the dynamic polling switch."""
 import ast
 import copy
+import hashlib
 import heapq
 import inspect
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -70,6 +72,39 @@ def _every_key_cbr(polling):
         stagger_arrival_phase=False,
         idle_horizon_s=60.0,
     )
+
+
+# the saturated configs of test_block_draws_match_scalar_draws:
+# (arrival, exponential poll mean, max_retries), 10 nodes, 8 packets each, seed 2
+SATURATED = [
+    (ArrivalKind.CBR, 6.0, 5),
+    (ArrivalKind.POISSON, 10.0, 5),
+    (ArrivalKind.CBR, 6.0, 1),
+]
+
+
+def _saturated(arrival, interval_s, max_retries):
+    return _config(arrival=ArrivalModel(arrival, 50.0),
+                   polling=PollingDistribution(PollingKind.EXPONENTIAL, interval_s),
+                   node_count=10, packets_per_node=8,
+                   mac=MacParams(max_retries=max_retries))
+
+
+def _lossy():
+    """A saturated config whose senders wait 40 ms for an early ACK. A
+    strobe registered that far ahead can land on a data frame that starts
+    after it was registered, or on the data frame's block ACK."""
+    return replace(_saturated(*SATURATED[0]), mac=MacParams(early_ack_wait_s=0.04))
+
+
+class _Rows:
+    """A csv.writer stand-in for traces: keeps every row."""
+
+    def __init__(self):
+        self.rows = []
+
+    def writerow(self, row):
+        self.rows.append(list(row))
 
 
 def _closure_checks(res):
@@ -138,10 +173,15 @@ def test_idle_network_energy_closed_form():
     _closure_checks(res)
 
 
-def test_strobe_timeout_exhausts_retries_and_drops():
+def _strobe_timeout_case():
+    """One packet at 0.3 s, polls every 5 s and a 10 ms strobe timeout."""
     config = _config(polling=PollingDistribution(PollingKind.DETERMINISTIC, 5.0),
                      mac=MacParams(strobe_timeout_s=0.01))
-    timeline = [ArrivalTimeline(1, config.arrival, (0.3,))]
+    return config, [ArrivalTimeline(1, config.arrival, (0.3,))]
+
+
+def test_strobe_timeout_exhausts_retries_and_drops():
+    config, timeline = _strobe_timeout_case()
     res = run_low_level(config, 1, timelines=timeline)
     assert res.delivered == 0
     assert res.dropped == 1
@@ -149,6 +189,34 @@ def test_strobe_timeout_exhausts_retries_and_drops():
     assert res.strobe_count >= config.mac.max_retries + 1
     assert res.mean_delay_s == 0.0
     _closure_checks(res)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("early", [0, 1], ids=["on-strobe-end", "one-tick-before"])
+def test_strobe_deadline_tie_rule(k, early):
+    """A strobe that ends on its sender's deadline tick finished in time, so
+    the sender sends one more strobe and gives up at that one's end; with
+    the deadline one tick earlier it gives up at the end of strobe k itself.
+    Strobe k (counting from 0) ends k strobe cycles plus one strobe airtime
+    after the first one starts. One source, no retries, and the sink's first
+    poll lies far past the deadline, so nothing answers; for k = 10 the
+    strobe-train jump lands a strobe exactly on the deadline tick."""
+    base, timeline = _strobe_timeout_case()
+    sim = _Simulation(base, 1, timeline)
+    first = lowsim._ticks(0.3) + sim.slot  # the first strobe's start
+    timeout = k * sim.strobe_cycle + sim.strobe_air - early
+    timeout_s = timeout / lowsim.TICKS_PER_S
+    assert lowsim._ticks(timeout_s) == timeout
+    config = replace(base, mac=MacParams(max_retries=0, strobe_timeout_s=timeout_s))
+    trace = _Rows()
+    res = run_low_level(config, 1, timelines=timeline, trace=trace)
+    last = k + 1 - early  # the strobe at whose end the sender gives up
+    assert res.strobe_count == last + 1
+    assert (res.dropped, res.poll_count) == (1, 0)
+    ends = [(row[0], row[4]) for row in trace.rows if row[3] == "strobe_tx_end"]
+    give_up = first + last * sim.strobe_cycle + sim.strobe_air
+    assert ends[-1] == (repr(give_up / lowsim.TICKS_PER_S), "timed out")
+    assert all(detail != "timed out" for _, detail in ends[:-1])
 
 
 def test_contention_produces_collisions():
@@ -178,20 +246,13 @@ def test_event_trace_is_monotone(tmp_path):
     """Event times never go backwards, and events at the same time run in
     rank order."""
 
-    class Collector:
-        def __init__(self):
-            self.rows = []
-
-        def writerow(self, row):
-            self.rows.append(list(row))
-
     rank = {kind.value: kind.rank for kind in EventKind}
     poisson = _config(arrival=ArrivalModel(ArrivalKind.POISSON, 5.0),
                       polling=PollingDistribution(PollingKind.EXPONENTIAL, 2.0),
                       node_count=4, packets_per_node=4)
     for config, seed in ((poisson, 5),
                          (_every_key_cbr(PollingKind.DETERMINISTIC), EVERY_KEY_SEED)):
-        collector = Collector()
+        collector = _Rows()
         res = run_low_level(config, seed, trace=collector)
         assert collector.rows[0] == ["time_s", "seq", "node_id", "kind", "detail"]
         body = collector.rows[1:]
@@ -313,15 +374,16 @@ def _fast_path_case(nodes, arrival, polling):
                  id="every-key-cbr-deterministic"),
     pytest.param(_every_key_cbr(PollingKind.EXPONENTIAL), EVERY_KEY_SEED,
                  id="every-key-cbr-exponential"),
+    pytest.param(_lossy(), 2, id="lossy"),
 ])
 def test_fast_paths_match_step_by_step(config, seed, monkeypatch):
     """The strobe-train jump and the backoff replay stand in for events the
     step-by-step model would process one at a time, so they must not change
-    what a run computes. A _steady_trains that never finds the steady regime
+    what a run computes. A _steady_horizon that never finds the steady regime
     switches both off and gives the reference. Every field must be equal
     but the event count, which differs by design."""
     fast = run_low_level(config, seed)
-    monkeypatch.setattr(_Simulation, "_steady_trains", lambda self: None)
+    monkeypatch.setattr(_Simulation, "_steady_horizon", lambda self, now: None)
     step = run_low_level(config, seed)
     for f in fields(LowLevelResult):
         if f.name != "event_count":
@@ -372,20 +434,34 @@ def test_block_draws_match_scalar_draws(arrival, interval_s, max_retries,
         assert blocked.dropped > 0
 
 
-# the saturated configs of test_block_draws_match_scalar_draws:
-# (arrival, exponential poll mean, max_retries), 10 nodes, 8 packets each, seed 2
-SATURATED = [
-    (ArrivalKind.CBR, 6.0, 5),
-    (ArrivalKind.POISSON, 10.0, 5),
-    (ArrivalKind.CBR, 6.0, 1),
-]
+def _result_digest(results):
+    """sha256 over every field but the event count of each result."""
+    digest = hashlib.sha256()
+    for res in results:
+        for f in fields(LowLevelResult):
+            if f.name != "event_count":
+                digest.update(f"{f.name}={getattr(res, f.name)!r}\n".encode())
+    return digest.hexdigest()
 
 
-def _saturated(arrival, interval_s, max_retries):
-    return _config(arrival=ArrivalModel(arrival, 50.0),
-                   polling=PollingDistribution(PollingKind.EXPONENTIAL, interval_s),
-                   node_count=10, packets_per_node=8,
-                   mac=MacParams(max_retries=max_retries))
+def test_saturated_and_timeout_results_are_frozen():
+    """The saturated configs, the lossy one and the strobe-timeout one give
+    the results they gave when every strobe and block-ACK timeout was a heap
+    event. In the lossy run data frames collide and block ACKs are lost, and
+    each loss, and nothing else, fires a block-ACK timeout."""
+    trace = _Rows()
+    results = [run_low_level(_saturated(*case), 2) for case in SATURATED]
+    results.append(run_low_level(_lossy(), 2, trace=trace))
+    config, timeline = _strobe_timeout_case()
+    results.append(run_low_level(config, 1, timelines=timeline))
+    events = Counter((row[3], row[4]) for row in trace.rows)
+    collided = events["data_tx_end", "collided"]
+    lost = events["ack_tx_end", "lost"]
+    assert collided > 0 and lost > 0
+    assert sum(n for (kind, _), n in events.items()
+               if kind == "block_ack_timeout") == collided + lost
+    assert _result_digest(results) == (
+        "404393c2ab3c13075362ea097bab7d47bbb94177d8a48618cbbc4a9ac34edb1e")
 
 
 def _heap_replay(sim, horizon):
@@ -504,7 +580,7 @@ def test_backoff_walk_across_small_blocks(monkeypatch):
     monkeypatch.setattr(_Simulation, "_replay_backoffs", spy_walk)
     fast = [run_low_level(config, 2) for config in configs]
     assert handed_back > 0
-    monkeypatch.setattr(_Simulation, "_steady_trains", lambda self: None)
+    monkeypatch.setattr(_Simulation, "_steady_horizon", lambda self, now: None)
     for config, result in zip(configs, fast):
         step = run_low_level(config, 2)
         for f in fields(LowLevelResult):
