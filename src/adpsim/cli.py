@@ -7,6 +7,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 import zlib
 from collections.abc import Iterator
@@ -279,15 +280,74 @@ def sweep_cells(exp: ExperimentConfig) -> Iterator[SweepCell]:
                                 seeds)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_cells(fn, cells, done=None) -> list:
+    """[fn(cell) for cell in cells], on every CPU this process may use.
+
+    With n of them (at most one per cell), this process runs cells[::n]
+    itself, in order, and a pool of n - 1 worker processes runs the rest;
+    with n = 1 no process is started. The share stays fixed, so the calls
+    made in this process are the same on every call. `fn` must be a
+    module-level function so that workers can unpickle it. After each of
+    its own cells, this process passes to `done`, in cell order, that cell
+    and every worker cell finished so far; the rest follow as they finish.
+    An exception from any cell reaches the caller, and no worker outlives
+    the call."""
+    cells = list(cells)
+    n = max(1, min(_usable_cpus(), len(cells)))
+    results, jobs, pool = {}, {}, None
+
+    def finish(i):
+        if i in jobs:
+            results[i] = jobs.pop(i).get()
+        if done:
+            done(cells[i])
+
+    if n > 1:
+        import multiprocessing  # costs set-up time; only a pool needs it
+        pool = multiprocessing.Pool(n - 1)
+    try:
+        if pool is not None:
+            jobs = {i: pool.apply_async(fn, (cell,))
+                    for i, cell in enumerate(cells) if i % n}
+        for i in range(0, len(cells), n):
+            results[i] = fn(cells[i])
+            for j in sorted([i] + [j for j, job in jobs.items() if job.ready()]):
+                finish(j)
+        for j in sorted(jobs):
+            finish(j)
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
+    return [results[i] for i in range(len(cells))]
+
+
+def _cell_rows(cell: SweepCell) -> list[RunMetrics]:
+    simulate = run_high_level if cell.fidelity == "high" else run_low_level
+    return [cell.row(rep, simulate(cell.config, seed))
+            for rep, seed in enumerate(cell.seeds)]
+
+
 def run_sweep(exp: ExperimentConfig, progress=None) -> list[RunMetrics]:
-    rows: list[RunMetrics] = []
-    for cell in sweep_cells(exp):
-        simulate = run_high_level if cell.fidelity == "high" else run_low_level
-        rows.extend(cell.row(rep, simulate(cell.config, seed))
-                    for rep, seed in enumerate(cell.seeds))
-        if progress:
-            progress(f"{cell.fidelity} {cell.arrival}/{cell.polling} "
-                     f"interval={cell.interval_s:g}")
+    def done(cell):
+        progress(f"{cell.fidelity} {cell.arrival}/{cell.polling} "
+                 f"interval={cell.interval_s:g}")
+
+    rows = [row for cell_rows in map_cells(_cell_rows, sweep_cells(exp),
+                                           done if progress else None)
+            for row in cell_rows]
     rows.sort(key=lambda r: (r.fidelity, r.arrival, r.polling,
                              r.mean_poll_interval_s, r.run))
     return rows

@@ -27,6 +27,7 @@ from adpsim.cli import (
     MATCHED_POLLING,
     ExperimentConfig,
     compare_runs,
+    map_cells,
     run_seed,
     run_sweep,
     sweep_cells,
@@ -72,15 +73,27 @@ def checked_high(config, seed):
     return res
 
 
+def _checked_rows(cell):
+    """One sweep cell's rows, each run through the audited wrappers. Runs
+    in whichever process `map_cells` gives the cell; a worker's audit
+    counts die with it, so `_checked_cells` counts every cell's runs."""
+    check = checked_high if cell.fidelity == "high" else checked_low
+    counted = _audit[cell.fidelity]
+    rows = [cell.row(rep, check(cell.config, seed))
+            for rep, seed in enumerate(cell.seeds)]
+    _audit[cell.fidelity] = counted
+    return rows
+
+
 def _checked_cells(keep):
-    """The default sweep's cells that `keep` accepts, each run through the
-    audited wrappers: {(fidelity, arrival, polling, interval): rows}."""
-    cells = {}
-    for cell in filter(keep, sweep_cells(EXP)):
-        check = checked_high if cell.fidelity == "high" else checked_low
-        cells[cell[:4]] = [cell.row(rep, check(cell.config, seed))
-                           for rep, seed in enumerate(cell.seeds)]
-    return cells
+    """The default sweep's cells that `keep` accepts, run through the
+    audited wrappers on every CPU: {(fidelity, arrival, polling, interval):
+    rows}."""
+    cells = list(filter(keep, sweep_cells(EXP)))
+    found = map_cells(_checked_rows, cells)
+    for cell, rows in zip(cells, found):
+        _audit[cell.fidelity] += len(rows)
+    return {cell[:4]: rows for cell, rows in zip(cells, found)}
 
 
 def _is_matched(cell):

@@ -1,22 +1,27 @@
 """Seed derivation, config files, the runs CSV, and the comparison logic."""
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import adpsim
+from adpsim import cli
 from adpsim.cli import (
     ExperimentConfig,
+    LowSection,
     RUNS_CSV_HEADER,
     SweepSection,
     compare_runs,
     format_report,
     load_experiment_config,
     main,
+    map_cells,
     read_runs_csv,
     run_seed,
     run_sweep,
@@ -215,6 +220,68 @@ def test_run_sweep_is_reproducible(tmp_path):
     write_runs_csv(first, run_sweep(_tiny_sweep_config()))
     write_runs_csv(second, run_sweep(_tiny_sweep_config()))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_sweep_on_several_cpus_matches_one_cpu(cpus, monkeypatch):
+    exp = ExperimentConfig(
+        sweep=SweepSection(poll_intervals_s=(2.0, 4.0), high_runs_per_cell=2,
+                           low_runs_per_cell=1),
+        low=LowSection(node_count=3, packets_per_node=4))
+    progress = {}
+    for n in (1, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        lines = progress[n] = []
+        rows = run_sweep(exp, progress=lines.append)
+        if n == 1:
+            one_cpu = rows
+    assert rows == one_cpu
+    assert {r.fidelity for r in rows} == {"high", "low"}
+    # every cell reported once; the parent's own cells keep their order
+    assert sorted(progress[cpus]) == sorted(progress[1])
+    assert len(set(progress[1])) == len(progress[1])
+    own = progress[1][::cpus]
+    assert [m for m in progress[cpus] if m in own] == own
+    assert multiprocessing.active_children() == []
+
+
+def _square_unless_negative(x: int) -> int:
+    if x < 0:
+        raise ValueError(f"cell {x} is negative")
+    return x * x
+
+
+@pytest.mark.parametrize("bad", [None, 3, 4], ids=["none", "worker", "parent"])
+def test_map_cells_passes_errors_on_and_leaves_no_process(bad, monkeypatch):
+    # with two CPUs the parent runs cells 0, 2, 4 and a worker runs 1, 3, 5
+    cells = [-x if x == bad else x for x in range(6)]
+    errors = []
+    for n in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        try:
+            assert map_cells(_square_unless_negative, cells) == \
+                [x * x for x in cells]
+        except ValueError as exc:
+            errors.append((type(exc), str(exc)))
+        assert multiprocessing.active_children() == []
+    assert errors == ([] if bad is None else
+                      [(ValueError, f"cell {-bad} is negative")] * 2)
+
+
+def _sleep_unless_negative(x: float) -> None:
+    if x < 0:
+        raise ValueError(f"cell {x} is negative")
+    time.sleep(x)
+
+
+def test_map_cells_stops_the_workers_on_error(monkeypatch):
+    # the parent's own cell fails at once while the worker's takes 60 s
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cell -1 is negative"):
+        map_cells(_sleep_unless_negative, [-1, 60])
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 # -- comparison -------------------------------------------------------------
@@ -418,7 +485,8 @@ def test_main_rejects_malformed_runs_csv(column, cell, named, tmp_path,
 def test_report_and_compare_import_no_scipy(tmp_path):
     # importing scipy.stats once cost each command about 70 MB of resident
     # memory and over a second of start-up; nothing on this path may pull
-    # it back in
+    # it back in. Only the sweep's worker pool needs multiprocessing, whose
+    # import costs about 20 ms
     high = tmp_path / "high.csv"
     low = tmp_path / "low.csv"
     second_runs = [dataclasses.replace(r, run=1, energy_mJ=r.energy_mJ + 1)
@@ -431,7 +499,8 @@ def test_report_and_compare_import_no_scipy(tmp_path):
         f"assert cli.main(['report', {str(high)!r}]) == 0\n"
         f"assert cli.main(['compare', '--high', {str(high)!r},"
         f" '--low', {str(low)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'multiprocessing')))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(adpsim.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
