@@ -22,12 +22,12 @@ its block ACK is lost. The event count and its limit count heap events.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import islice
+from operator import length_hint
 
 from .core import (
     ArrivalModel,
@@ -54,6 +54,11 @@ def _ticks(seconds: float) -> int:
         return round(seconds * TICKS_PER_S)
     except OverflowError:
         raise ParameterError(f"{seconds} s is too long to count in ticks") from None
+
+
+def _in_gaps(t: int, gaps: list[tuple[int, int]], period: int) -> bool:
+    """Whether tick t falls in one of the (start, length) phase ranges."""
+    return any((t - g) % period < length for g, length in gaps)
 
 
 def airtime(n_bytes: int, bit_rate_bps: float) -> float:
@@ -299,6 +304,7 @@ class _Node:
     strobe_tx: int = 0
     strobe_count: int = 0
     timeout_at: int | None = None  # the strobe train's or block ACK's deadline
+    train_start: int = 0  # the first strobe start of the node's latest train
     backoff_until: int = 0
     draw_window: int = 0
     draw_cursor: int = 0
@@ -433,6 +439,7 @@ class _Simulation:
         self.channel.register(strobe)
         self._push(strobe.end, node.node_id, _STROBE_TX_END, strobe)
         node.timeout_at = cca_end + self.strobe_timeout
+        node.train_start = cca_end
 
     def _draw_backoff_slots(self, node: _Node) -> int:
         """Backoff slots for the node's next attempt, uniform on 1..window,
@@ -642,95 +649,154 @@ class _Simulation:
         step-by-step handler runs it: a slot of listening, then a backoff
         drawn from the node's own substream.
 
-        Each train's busy arc is worked out once per call. Every train has
-        the period strobe_cycle, so the CCA slot [t, t + slot) overlaps the
-        train of a strobe that starts at s exactly when
+        Every train has the period strobe_cycle, so the CCA slot [t, t + slot)
+        overlaps the train of a strobe that starts at s exactly when
         (t - a) % strobe_cycle < strobe_air + slot - 1, with a = s - slot + 1.
         That holds anywhere inside the steady regime: past the registered
-        horizon, and while frames sit jumped ahead of their position. So
-        whether an attempt stops the regime depends on its tick alone, and
-        the regime ends on the earliest tick on which any node's does.
+        horizon, and while frames sit jumped ahead of their position. It
+        does not hold before the train began: an attempt on or before the
+        tick b of the CCA that began it does not see it, though the arc
+        covers b when the slot is longer than the early-ACK wait. b is
+        never after the current tick, so only the earliest pending attempts
+        can fall on it, and only the earliest tick is tested arc by arc.
+        So whether an attempt stops the regime depends on its tick alone,
+        and the regime ends on the earliest tick on which any node's does.
+
+        Most calls end at the earliest pending attempt, which then could
+        find the channel clear or ends past the horizon. Otherwise the
+        phases of the cycle that no arc covers are worked out once, and
+        every later attempt is tested against them with one modulo: against
+        the one gap, which is the usual case, or against the hull of all
+        of them first.
 
         The nodes are walked one at a time, in the order of their next
         attempt, each straight through its block of drawn slots. A walk ends
         at the node's first attempt that stops the regime, or at its first
-        attempt at or past the earliest stop found so far. Each node then
-        keeps its attempts before the earliest stop: the ones a replay of
-        all nodes in time order makes. A walk that went past it hands its
-        unkept draws back, so the node's stream is as if they were never
-        made. A replayed node is charged once and gets one new expiry event,
-        in the order of its first replayed attempt; the expiries it
-        supersedes are dropped when due."""
+        attempt at or past the earliest stop found so far, and keeps only
+        its first and last replayed ticks, its draw count and its block
+        crossings. Each node then keeps its attempts before the earliest
+        stop: the ones a replay of all nodes in time order makes. A walk
+        that went past it counts its draws again up to it and hands the
+        rest back, so the node's stream is as if they were never made. A
+        replayed node is charged once and gets one new expiry event, in the
+        order of its first replayed attempt; the expiries it supersedes are
+        dropped when due."""
         nodes = self.nodes
-        attempts = sorted([(n.backoff_until, n.node_id) for n in nodes[1:]
-                           if n.mode is _BACKOFF])
         slot = self.slot
         period = self.strobe_cycle
         width = self.strobe_air + slot - 1
-        arcs = [(f.start - slot + 1) % period for f in self.channel._active]
         end = horizon - slot + 1  # an attempt from here on ends past the horizon
+        frames = self.channel._active
+        earliest = min([n.backoff_until for n in nodes[1:] if n.mode is _BACKOFF],
+                       default=horizon)
+        if earliest >= end:
+            return min(earliest, horizon)
+        for f in frames:
+            if ((earliest - f.start + slot - 1) % period < width
+                    and earliest > nodes[f.sender].train_start - slot):
+                break
+        else:
+            return earliest  # it could find the channel clear
+
+        # the phases no arc covers, as (start, length), in the order of the arcs
+        gaps = []
+        starts = sorted([(f.start - slot + 1) % period for f in frames])
+        prev = starts[-1] - period
+        for a in starts:
+            if a - prev > width:
+                gaps.append((prev + width, a - prev - width))
+            prev = a
+        g0 = gaps[0][0] if gaps else 0
+        hull = gaps[-1][0] + gaps[-1][1] - g0 if gaps else 0  # 0: every phase busy
+        exact = len(gaps) < 2  # the hull is the one gap, or there is none
+
         stop = math.inf  # the earliest stopping tick found so far
-        times: list[int] = []  # the replayed attempts of one walk after another
-        replay = times.append
         walks = []
-        for t, node_id in attempts:
-            if t >= stop:
+        for first, node_id in sorted([(n.backoff_until, n.node_id) for n in nodes[1:]
+                                      if n.mode is _BACKOFF]):
+            if first >= stop:
                 break  # and so is every later node's first attempt
-            bound = min(stop, end)
-            node = None  # set up at the first busy attempt: most calls replay none
-            while t < bound:
-                for a in arcs:
-                    if (t - a) % period < width:
+            # the walk counts ticks u past `base`, a tick on which the first
+            # gap starts: the phase is then one modulo, on small ints. The
+            # gaps answer for every attempt after the earliest, which are
+            # past the start of every train, and find an attempt on the
+            # earliest tick busy, as the arcs did.
+            phase = (first - g0) % period
+            if first >= end or phase < hull and (exact or _in_gaps(first, gaps, period)):
+                stop = first
+                break
+            base = first - phase
+            u = phase
+            bound = min(stop, end) - base
+            node = nodes[node_id]
+            # the node drew its pending slots with its current window, and
+            # retry_count does not change in backoff: only a block end needs
+            # _draw_backoff_slots
+            block = first_block = node.draw_block
+            start = node.draw_cursor
+            # the walk reads the block through a list iterator: the pickle
+            # hook __setstate__ moves one to an index in constant time, and
+            # length_hint gives back how far it got
+            draws = iter(block)
+            draws.__setstate__(start)  # past the slots handed out
+            used = -start  # draws made before this block, less its start cursor
+            crossings = ()  # (draw, slots, block and cursor after it, state before it)
+            while True:
+                for slots in draws:
+                    u += slots * slot
+                    if u >= bound or u % period < hull and (
+                            exact or _in_gaps(base + u, gaps, period)):
                         break
                 else:
-                    break  # the attempt could find the channel clear
-                if node is None:
-                    node = nodes[node_id]
-                    lo = len(times)
-                    # the node drew its pending slots with its current window,
-                    # and retry_count does not change in backoff: only a block
-                    # end needs _draw_backoff_slots
-                    block = node.draw_block
-                    size = len(block)
-                    cursor = start = node.draw_cursor
-                    crossings = ()  # (draw, block, state and generator state before it)
-                replay(t)
-                if cursor < size:
-                    slots = block[cursor]
-                    cursor += 1
-                else:
-                    rng_state = self.backoff_rng[node_id].bit_generator.state
-                    crossings += ((len(times) - 1 - lo, block, node.draw_state,
-                                   rng_state),)
-                    node.draw_cursor = cursor
+                    used += len(block)
+                    node.draw_cursor = len(block)
+                    undo = (block, node.draw_state,
+                            self.backoff_rng[node_id].bit_generator.state)
                     slots = self._draw_backoff_slots(node)
-                    block = node.draw_block
-                    size = len(block)
-                    cursor = node.draw_cursor
-                t += slots * slot
+                    block, cursor = node.draw_block, node.draw_cursor
+                    crossings += ((used, slots, block, cursor, *undo),)
+                    used += 1 - cursor
+                    draws = iter(block)
+                    draws.__setstate__(cursor)
+                    u += slots * slot
+                    if not (u >= bound or _in_gaps(base + u, gaps, period)):
+                        continue
+                break
+            t = base + u
+            cursor = len(block) - length_hint(draws)
+            node.draw_cursor = cursor
             if t < stop:
                 stop = t
-            if node is not None:
-                node.draw_cursor = cursor
-                walks.append((node, lo, len(times), t, start, crossings))
+            walks.append((node, first, used + cursor, t - slots * slot, t,
+                          first_block, start, crossings))
 
-        for node, lo, hi, next_t, start, crossings in walks:
-            kept = bisect_left(times, stop, lo, hi) - lo
-            if kept < hi - lo:
-                # hand back the unkept draws: the block and states before
-                # the first unkept block crossing, at the kept draws' cursor
-                next_t = times[lo + kept]
-                cursor = start + kept
-                for draw, *fields in crossings:
-                    if draw >= kept:
-                        node.draw_block, node.draw_state, state = fields
-                        self.backoff_rng[node.node_id].bit_generator.state = state
-                        break
-                    cursor = kept - draw
+        for node, t, kept, last, next_t, block, cursor, crossings in walks:
+            if last >= stop:
+                # a later node's stop cuts the walk back: count its draws
+                # again up to that stop, and hand back the ones past it: the
+                # block and states before the first unkept block crossing,
+                # at the kept draws' cursor
+                kept = 0
+                pending = iter(crossings)
+                crossing = next(pending, None)
+                while t < stop:
+                    last = t
+                    if crossing is not None and crossing[0] == kept:
+                        _, slots, block, cursor, *_ = crossing
+                        crossing = next(pending, None)
+                    else:
+                        slots = block[cursor]
+                        cursor += 1
+                    kept += 1
+                    t += slots * slot
+                next_t = t
                 node.draw_cursor = cursor
+                if crossing is not None:
+                    node.draw_block, node.draw_state, state = crossing[4:]
+                    self.backoff_rng[node.node_id].bit_generator.state = state
                 if not kept:
                     continue
-            cca_end = times[lo + kept - 1] + slot
+            cca_end = last + slot
             listen = kept * slot
             asleep = cca_end - node.radio_since - listen
             if asleep < 0:

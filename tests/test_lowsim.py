@@ -390,6 +390,30 @@ def test_fast_paths_match_step_by_step(config, seed, monkeypatch):
             assert getattr(fast, f.name) == getattr(step, f.name), f.name
 
 
+def test_train_begun_on_an_attempt_tick_is_clear_for_it(monkeypatch):
+    """Two unstaggered cbr sources end their backoffs on the same tick. The
+    first one's CCA is clear, so its train starts one slot later, where the
+    second one's CCA window ends: that one is clear too, and the two trains
+    collide. With a CCA slot longer than the early-ACK wait, a train's busy
+    arc covers every phase of the strobe cycle, and the backoff replay must
+    not read the train as there before it began. Step by step the run has 5
+    collisions and 140.400 mJ, and the fast paths must give every field of
+    that result."""
+    config = LowLevelConfig(
+        arrival=ArrivalModel(ArrivalKind.CBR, 10.0),
+        polling=PollingDistribution(PollingKind.DETERMINISTIC, 1.0),
+        node_count=4, packets_per_node=1,
+        mac=MacParams(cca_slot_s=0.003, early_ack_wait_s=0.002),
+        stagger_arrival_phase=False)
+    fast = run_low_level(config, 1)
+    monkeypatch.setattr(_Simulation, "_steady_horizon", lambda self, now: None)
+    step = run_low_level(config, 1)
+    assert (step.collisions, round(step.total_energy_mJ, 3)) == (5, 140.4)
+    for f in fields(LowLevelResult):
+        if f.name != "event_count":
+            assert getattr(fast, f.name) == getattr(step, f.name), f.name
+
+
 def test_tie_order_does_not_depend_on_float_noise(monkeypatch):
     """Events due at the same instant run in rank order, whatever the
     rounding of the float times that led to them: scaling every airtime by
@@ -464,24 +488,44 @@ def test_saturated_and_timeout_results_are_frozen():
         "404393c2ab3c13075362ea097bab7d47bbb94177d8a48618cbbc4a9ac34edb1e")
 
 
-def _heap_replay(sim, horizon):
+def _twin(sim):
+    """A copy of `sim` for a backoff replay to change: its own nodes,
+    residency lists, backoff generators and heap. Everything else, the
+    channel and the draw blocks among it, is shared: a replay only reads
+    those, and swaps a node's block for a new list instead of writing to it."""
+    twin = copy.copy(sim)
+    twin.nodes = [copy.copy(n) for n in sim.nodes]
+    for node in twin.nodes:
+        node.residency = list(node.residency)
+    twin.sink = twin.nodes[0]
+    twin.backoff_rng = {i: copy.deepcopy(rng) for i, rng in sim.backoff_rng.items()}
+    twin.heap = list(sim.heap)
+    return twin
+
+
+def _heap_replay(sim, horizon, only=None):
     """The backoff replay as a heap with one (tick, node id) entry per node
     in backoff, popped one attempt at a time, with the busy test worked out
-    from each strobe's offset. Nothing changes until the first attempt is
-    replayed, and from there on it works on a deep copy of `sim`. Returns
-    the regime end, whether another node's next attempt fell on the stop
-    tick, and the simulation as the replay leaves it."""
+    from each strobe's offset. A train is not there for an attempt on or
+    before the tick of the CCA that began it. Nothing changes until the
+    first attempt is replayed, and from there on it works on a twin of
+    `sim`. With `only`, the one node of that id is replayed, as if it were
+    the only one in backoff. Returns the regime end, whether another node's
+    next attempt fell on the stop tick, and the simulation as the replay
+    leaves it."""
 
     def busy(start, end):
         width = end - start
         for frame in sim.channel._active:
             offset = (start - frame.start) % sim.strobe_cycle
-            if offset < sim.strobe_air or offset > sim.strobe_cycle - width:
+            begun = sim.nodes[frame.sender].train_start - sim.slot
+            if start > begun and (offset < sim.strobe_air
+                                  or offset > sim.strobe_cycle - width):
                 return True
         return False
 
     attempts = [(n.backoff_until, n.node_id) for n in sim.nodes[1:]
-                if n.mode is NodeMode.BACKOFF]
+                if n.mode is NodeMode.BACKOFF and only in (None, n.node_id)]
     heapq.heapify(attempts)
     replayed = {}  # node -> (count, last CCA end)
     end, tie = horizon, False
@@ -493,7 +537,7 @@ def _heap_replay(sim, horizon):
             tie = sum(a == t for a, _ in attempts) > 1
             break
         if not replayed:
-            sim = copy.deepcopy(sim)
+            sim = _twin(sim)
         node = sim.nodes[node_id]
         count = replayed[node_id][0] + 1 if node_id in replayed else 1
         replayed[node_id] = (count, cca_end)
@@ -518,35 +562,91 @@ def _replay_state(sim):
     return nodes, [entry[:5] for entry in sim.heap], sim.seq
 
 
+def _uncovered_runs(sim):
+    """How many runs of phases of the strobe cycle no train's busy arc
+    covers: each starts where an arc ends outside every arc."""
+    period = sim.strobe_cycle
+    width = sim.strobe_air + sim.slot - 1
+    arcs = {(f.start - sim.slot + 1) % period for f in sim.channel._active}
+    return sum(all((a + width - b) % period >= width for b in arcs) for a in arcs)
+
+
+def _cut_back(sim, horizon, twin):
+    """Whether a walk of the nodes one at a time, in the order of their
+    next attempt, visits an attempt that the replay of all nodes together
+    (`twin`) does not keep. Each walk goes up to the first stop of its own
+    node or of a node walked before it, so it visits one exactly when its
+    node's next attempt in `twin` comes before that stop."""
+    bound = horizon - sim.slot + 1  # the first attempt that ends past the horizon
+    for _, node_id in sorted((n.backoff_until, n.node_id) for n in sim.nodes[1:]
+                             if n.mode is NodeMode.BACKOFF):
+        own = _heap_replay(sim, horizon, only=node_id)[0]
+        if twin.nodes[node_id].backoff_until < min(own, bound):
+            return True
+        bound = min(bound, own)
+    return False
+
+
+def _slot_over_gap():
+    """A saturated config whose CCA slot is longer than the gap between two
+    strobes of a train, so that one train's busy arc covers every phase."""
+    return replace(_saturated(*SATURATED[0]), mac=MacParams(cca_slot_s=0.003))
+
+
 def test_backoff_walk_matches_heap_replay_per_call(monkeypatch):
     """Each replay call walks one node at a time and truncates to the
     earliest stop; a heap that pops one attempt at a time over all nodes is
-    the reference. Every call of the saturated configs and the every-key
-    cbr ones runs the reference on a copy of the simulation, and the walk
-    must leave the same end, draws, generators, residency and heap. The
-    every-key runs are there for their ties: two nodes whose next attempts
-    fall on the stop tick, which the node id must order."""
+    the reference. Every call of the saturated configs, the lossy one, the
+    one with a slot over the gap and the every-key cbr ones runs the
+    reference on a twin of the simulation, and the walk must leave the same
+    end, draws, generators, residency and heap. The every-key runs are
+    there for their ties: two nodes whose next attempts fall on the stop
+    tick, which the node id must order.
+
+    The runs must reach every branch of the walk: calls that the earliest
+    attempt answers alone, walks against no uncovered phase, one and
+    several, a block drawn inside a walk, and a walk that a later node's
+    stop cuts back."""
     walk = _Simulation._replay_backoffs
-    calls = replaying = ties = 0
+    draw = _Simulation._draw_backoff_slots
+    seen = Counter()
+    walking = False
+
+    def spy_draw(self, node):
+        seen["block crossing"] += walking
+        return draw(self, node)
 
     def checked(self, horizon):
-        nonlocal calls, replaying, ties
+        nonlocal walking
         want, tie, twin = _heap_replay(self, horizon)
         expected = _replay_state(twin)  # before the walk: twin may be self
+        if twin is self:
+            seen["earliest attempt"] += 1
+        else:
+            seen["uncovered runs", min(_uncovered_runs(self), 2)] += 1
+            if not seen["cut back"]:
+                seen["cut back"] += _cut_back(self, horizon, twin)
+        walking = True
         assert walk(self, horizon) == want
+        walking = False
         assert _replay_state(self) == expected
-        calls += 1
-        replaying += twin is not self
-        ties += tie
+        seen["calls"] += 1
+        seen["ties"] += tie
         return want
 
+    monkeypatch.setattr(_Simulation, "_draw_backoff_slots", spy_draw)
     monkeypatch.setattr(_Simulation, "_replay_backoffs", checked)
-    for case in SATURATED:
-        run_low_level(_saturated(*case), 2)
+    configs = [_saturated(*case) for case in SATURATED]
+    for config in configs + [_lossy(), _slot_over_gap()]:
+        run_low_level(config, 2)
     for polling in (PollingKind.DETERMINISTIC, PollingKind.EXPONENTIAL):
         run_low_level(_every_key_cbr(polling), EVERY_KEY_SEED)
-    assert replaying > 1000 and calls > replaying
-    assert ties > 0
+    replaying = seen["calls"] - seen["earliest attempt"]
+    assert replaying > 1000 and seen["earliest attempt"] > 0
+    for runs in range(3):
+        assert seen["uncovered runs", runs] > 0, runs
+    assert seen["block crossing"] > 0 and seen["cut back"] > 0
+    assert seen["ties"] > 0
 
 
 def test_backoff_walk_across_small_blocks(monkeypatch):
